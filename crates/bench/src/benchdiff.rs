@@ -280,6 +280,8 @@ pub struct Ic3Counters {
     pub lemmas: u64,
     pub generalization_drops: u64,
     pub pushes: u64,
+    pub attempts: u64,
+    pub propagations: u64,
 }
 
 /// Product-construction size counters from the `product` object of a
@@ -412,6 +414,8 @@ pub fn parse_bench_record(text: &str) -> Result<Vec<DesignRecord>, String> {
                             lemmas: n("lemmas"),
                             generalization_drops: n("generalization_drops"),
                             pushes: n("pushes"),
+                            attempts: n("attempts"),
+                            propagations: n("propagations"),
                         }
                     }),
                     product: s.get("product").map(|pv| {
@@ -726,14 +730,21 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
         );
         let _ = writeln!(
             out.markdown,
-            "| Design | Frames | CTIs | Lemmas | Gen. drops | Pushes |"
+            "| Design | Attempts | Propagations | Frames | CTIs | Lemmas | Gen. drops | Pushes |"
         );
-        let _ = writeln!(out.markdown, "|---|---|---|---|---|---|");
+        let _ = writeln!(out.markdown, "|---|---|---|---|---|---|---|---|");
         for (n, i) in escalated {
             let _ = writeln!(
                 out.markdown,
-                "| {} | {} | {} | {} | {} | {} |",
-                n.design, i.frames, i.ctis, i.lemmas, i.generalization_drops, i.pushes
+                "| {} | {} | {} | {} | {} | {} | {} | {} |",
+                n.design,
+                i.attempts,
+                i.propagations,
+                i.frames,
+                i.ctis,
+                i.lemmas,
+                i.generalization_drops,
+                i.pushes
             );
         }
     }
@@ -925,16 +936,25 @@ mod tests {
             r#""method": "HFG", "inspections": 0}"#,
             r#""method": "HFG", "inspections": 0,
                "ic3": {"frames": 5, "ctis": 9, "lemmas": 14,
-                 "generalization_drops": 21, "pushes": 6}}"#,
+                 "generalization_drops": 21, "pushes": 6,
+                 "attempts": 2, "propagations": 345678}}"#,
         );
         let rows = parse_bench_record(&cold).expect("parses");
         let i = rows[0].fastpath.ic3.expect("present");
         assert_eq!(i.frames, 5);
         assert_eq!(i.lemmas, 14);
+        assert_eq!((i.attempts, i.propagations), (2, 345_678));
         let diff = diff_bench_records(&cold, &cold).expect("diff");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
         assert!(diff.markdown.contains("SecIC3 counters"));
-        let drifted = cold.replace(r#""lemmas": 14"#, r#""lemmas": 20"#);
+        assert!(
+            diff.markdown.contains("| 2 | 345678 | 5 |"),
+            "{}",
+            diff.markdown
+        );
+        let drifted = cold
+            .replace(r#""lemmas": 14"#, r#""lemmas": 20"#)
+            .replace(r#""propagations": 345678"#, r#""propagations": 999999"#);
         let diff = diff_bench_records(&cold, &drifted).expect("diff");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
         // A warm (invariant-cache-served) run drops the whole section:

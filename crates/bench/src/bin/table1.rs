@@ -9,7 +9,8 @@
 //!   --trace      also print the Fig. 1 flow-event trace per design
 //!   --pairwise   also print the fine-grained per-(x_D, y_C) structural
 //!                analysis mentioned in Sec. V
-//!   --design X   run a single design (row) only
+//!   --design X   run a single design (row) only; an unknown name exits
+//!                with status 2 and lists the known names
 //!   --runtime    also print the Sec. V-E runtime breakdown plus solver
 //!                and elaboration-cache statistics
 //!   --markdown   emit the table as GitHub-flavoured markdown
@@ -84,10 +85,12 @@ fn main() {
         trace: args.iter().any(|a| a == "--trace"),
         runtime: args.iter().any(|a| a == "--runtime"),
         pairwise: args.iter().any(|a| a == "--pairwise"),
-        only: args
-            .iter()
-            .position(|a| a == "--design")
-            .and_then(|i| args.get(i + 1).cloned()),
+        only: args.iter().position(|a| a == "--design").map(|i| {
+            args.get(i + 1).cloned().unwrap_or_else(|| {
+                eprintln!("--design expects a design name");
+                std::process::exit(2);
+            })
+        }),
         certify: args.iter().any(|a| a == "--certify"),
         dump_artifacts: args.iter().position(|a| a == "--dump-artifacts").map(|i| {
             args.get(i + 1)
@@ -184,5 +187,15 @@ fn main() {
     }
 
     let studies = fastpath_designs::all_case_studies();
+    if let Some(name) = &opts.only {
+        if !studies.iter().any(|s| &s.name == name) {
+            let known: Vec<&str> = studies.iter().map(|s| s.name.as_str()).collect();
+            eprintln!(
+                "unknown design {name:?}; known designs: {}",
+                known.join(", ")
+            );
+            std::process::exit(2);
+        }
+    }
     print!("{}", run_table1(&studies, &opts));
 }

@@ -234,8 +234,15 @@ fn write_bench_json(
         let ic3 = report.ic3.as_ref().map_or(String::new(), |i| {
             format!(
                 "\"ic3\": {{\"frames\": {}, \"ctis\": {}, \"lemmas\": {}, \
-                 \"generalization_drops\": {}, \"pushes\": {}}}, ",
-                i.frames, i.ctis, i.lemmas, i.generalization_drops, i.pushes
+                 \"generalization_drops\": {}, \"pushes\": {}, \
+                 \"attempts\": {}, \"propagations\": {}}}, ",
+                i.frames,
+                i.ctis,
+                i.lemmas,
+                i.generalization_drops,
+                i.pushes,
+                i.attempts,
+                i.propagations
             )
         });
         let p = &report.product;

@@ -115,7 +115,13 @@ pub fn run_baseline_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                             let certified = engine.check_state_only_certified(&z_vec);
                             let fell = engine.product_stats().word_fallbacks;
                             if fell > 0 {
-                                return rerun_in_bits(study, &options, fell, run_baseline_with);
+                                return rerun_in_bits(
+                                    study,
+                                    &options,
+                                    fell,
+                                    ctx.ic3,
+                                    run_baseline_with,
+                                );
                             }
                             ctx.record_certificate(&certified);
                             let artifact = engine.take_last_artifact();
@@ -125,7 +131,13 @@ pub fn run_baseline_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                             let outcome = engine.check_state_only(&z_vec);
                             let fell = engine.product_stats().word_fallbacks;
                             if fell > 0 {
-                                return rerun_in_bits(study, &options, fell, run_baseline_with);
+                                return rerun_in_bits(
+                                    study,
+                                    &options,
+                                    fell,
+                                    ctx.ic3,
+                                    run_baseline_with,
+                                );
                             }
                             outcome
                         };
@@ -161,7 +173,13 @@ pub fn run_baseline_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                                 let certified = engine.check_certified(&z_vec);
                                 let fell = engine.product_stats().word_fallbacks;
                                 if fell > 0 {
-                                    return rerun_in_bits(study, &options, fell, run_baseline_with);
+                                    return rerun_in_bits(
+                                        study,
+                                        &options,
+                                        fell,
+                                        ctx.ic3,
+                                        run_baseline_with,
+                                    );
                                 }
                                 ctx.record_certificate(&certified);
                                 let artifact = engine.take_last_artifact();
@@ -171,7 +189,13 @@ pub fn run_baseline_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                                 let outcome = engine.check(&z_vec);
                                 let fell = engine.product_stats().word_fallbacks;
                                 if fell > 0 {
-                                    return rerun_in_bits(study, &options, fell, run_baseline_with);
+                                    return rerun_in_bits(
+                                        study,
+                                        &options,
+                                        fell,
+                                        ctx.ic3,
+                                        run_baseline_with,
+                                    );
                                 }
                                 outcome
                             };

@@ -164,17 +164,25 @@ pub fn run_fastpath(study: &CaseStudy) -> FlowReport {
 /// mode — the report then *is* the reference trace — and keep the
 /// fallback count visible in the product counters. Nothing from the
 /// abandoned word attempt is cached, so warm reruns reconverge on the
-/// same route.
+/// same route. Its IC3 escalations (`abandoned_ic3`) were real work, so
+/// their counters are kept.
 pub(crate) fn rerun_in_bits(
     study: &CaseStudy,
     options: &FlowOptions,
     fallbacks: u64,
+    abandoned_ic3: Option<Ic3Stats>,
     run: fn(&CaseStudy, FlowOptions) -> FlowReport,
 ) -> FlowReport {
     let mut bits = options.clone();
     bits.upec_encoding = UpecEncoding::Bits;
     let mut report = run(study, bits);
     report.product.word_fallbacks = fallbacks;
+    if let Some(abandoned) = abandoned_ic3 {
+        report
+            .ic3
+            .get_or_insert_with(Ic3Stats::default)
+            .merge(&abandoned);
+    }
     report
 }
 
@@ -323,7 +331,13 @@ pub fn run_fastpath_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                                 let certified = engine.check_certified(&z_vec);
                                 let fell = engine.product_stats().word_fallbacks;
                                 if fell > 0 {
-                                    return rerun_in_bits(study, &options, fell, run_fastpath_with);
+                                    return rerun_in_bits(
+                                        study,
+                                        &options,
+                                        fell,
+                                        ctx.ic3,
+                                        run_fastpath_with,
+                                    );
                                 }
                                 ctx.record_certificate(&certified);
                                 let artifact = engine.take_last_artifact();
@@ -333,7 +347,13 @@ pub fn run_fastpath_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                                 let outcome = engine.check(&z_vec);
                                 let fell = engine.product_stats().word_fallbacks;
                                 if fell > 0 {
-                                    return rerun_in_bits(study, &options, fell, run_fastpath_with);
+                                    return rerun_in_bits(
+                                        study,
+                                        &options,
+                                        fell,
+                                        ctx.ic3,
+                                        run_fastpath_with,
+                                    );
                                 }
                                 outcome
                             };
@@ -612,8 +632,8 @@ pub(crate) fn finish_upec_proved(
 
 /// Failed cold attempts per design instance before escalation stops
 /// offering obligations to SecIC3. Every failed attempt costs real
-/// solver work (divergence exhausts the engine's deterministic query
-/// budget), so a design whose obligations IC3 cannot crack must not pay
+/// solver work (divergence exhausts one of the engine's deterministic
+/// budgets), so a design whose obligations IC3 cannot crack must not pay
 /// that price at every remaining classification step.
 const IC3_ESCALATION_FUSE: u32 = 2;
 
@@ -741,13 +761,7 @@ pub(crate) fn try_ic3_discharge<'m>(
     let after = state.engine.stats();
     ctx.ic3
         .get_or_insert_with(Ic3Stats::default)
-        .merge(&Ic3Stats {
-            frames: after.frames - before.frames,
-            ctis: after.ctis - before.ctis,
-            lemmas: after.lemmas - before.lemmas,
-            generalization_drops: after.generalization_drops - before.generalization_drops,
-            pushes: after.pushes - before.pushes,
-        });
+        .merge(&after.since(&before));
 
     let inv = match outcome {
         // Defensive gate on the derivation itself: a malformed or

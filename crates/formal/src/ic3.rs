@@ -45,15 +45,17 @@
 //!   query against frame `F_m` assumes `{act_j : j ≥ m}`. Frame 0 is the
 //!   concrete reset state, assumed bit by bit.
 //! - **Generalization**: counterexamples-to-induction are first shrunk by
-//!   ternary simulation (drop a state bit, three-valued re-evaluation must
-//!   keep the requirement definite), then minimized by literal dropping
-//!   with down-generalization (join the candidate with the SAT model on
-//!   failure), always preserving syntactic disjointness from reset.
+//!   ternary simulation (drop a state bit, three-valued re-evaluation of
+//!   its fanout must keep the requirement definite), then minimized by
+//!   literal dropping with down-generalization (join the candidate with
+//!   the SAT model on failure), always preserving syntactic disjointness
+//!   from reset.
 //! - **Determinism**: the internal solver runs at portfolio width 1 with
-//!   per-query conflict budgets, obligations are processed in a fixed
-//!   `(level, sequence)` order, and all shrink loops walk fixed literal
-//!   orders under deterministic operation budgets — verdicts, lemmas and
-//!   [`Ic3Stats`] are byte-identical across `--jobs` and portfolio widths.
+//!   per-query conflict budgets and a per-attempt propagation cap,
+//!   obligations are processed in a fixed `(level, sequence)` order, and
+//!   all shrink loops walk fixed literal orders under deterministic
+//!   operation budgets — verdicts, lemmas and [`Ic3Stats`] are
+//!   byte-identical across `--jobs` and portfolio widths.
 
 use crate::aig::{Aig, AigLit};
 use crate::blast::{build_frame_with_leaves, next_state, Frame};
@@ -115,6 +117,11 @@ pub struct Ic3Stats {
     pub generalization_drops: u64,
     /// Lemmas pushed forward during propagation.
     pub pushes: u64,
+    /// Proof attempts ([`Ic3Engine::prove`] calls).
+    pub attempts: u64,
+    /// SAT propagations the engine's solver spent inside proof attempts —
+    /// the unit [`IC3_PROPAGATION_BUDGET`] caps per attempt.
+    pub propagations: u64,
 }
 
 impl Ic3Stats {
@@ -125,6 +132,22 @@ impl Ic3Stats {
         self.lemmas += other.lemmas;
         self.generalization_drops += other.generalization_drops;
         self.pushes += other.pushes;
+        self.attempts += other.attempts;
+        self.propagations += other.propagations;
+    }
+
+    /// Per-field difference against an earlier snapshot of the same
+    /// engine's counters: the work done in between.
+    pub fn since(&self, earlier: &Ic3Stats) -> Ic3Stats {
+        Ic3Stats {
+            frames: self.frames - earlier.frames,
+            ctis: self.ctis - earlier.ctis,
+            lemmas: self.lemmas - earlier.lemmas,
+            generalization_drops: self.generalization_drops - earlier.generalization_drops,
+            pushes: self.pushes - earlier.pushes,
+            attempts: self.attempts - earlier.attempts,
+            propagations: self.propagations - earlier.propagations,
+        }
     }
 }
 
@@ -226,17 +249,24 @@ const IC3_QUERY_CONFLICT_BUDGET: u64 = 8192;
 /// propagation combined) before the attempt diverges.
 const IC3_TOTAL_QUERY_BUDGET: u64 = 1_000;
 
-/// Total solver conflicts per `prove` call, summed across its queries.
-/// The query count alone bounds cheap proofs poorly: on large products a
-/// divergent attempt can spend the full per-query conflict budget on
-/// thousands of queries. Conflict totals are deterministic, so this is a
-/// reproducible wall-clock proxy that caps a failed attempt at roughly
-/// seconds regardless of product size.
-const IC3_TOTAL_CONFLICT_BUDGET: u64 = 50_000;
+/// Total solver propagations per `prove` call, summed across its queries
+/// and checked before each one, so an attempt overshoots the cap by at
+/// most one query. Propagations, not conflicts, are what a product query
+/// costs: queries under a frame's assumptions are mostly unit
+/// propagation, and a divergent attempt on a large product spends tens of
+/// millions of propagations on its 1 000 queries with only a few hundred
+/// conflicts. Propagation counts are deterministic, so this is the
+/// reproducible wall-clock proxy that prices a failed attempt. The cap
+/// sits above every attempt that the Table I designs with small products
+/// (CVA6-DIV, FWRISCV-MDS) make, including the one discharge.
+pub const IC3_PROPAGATION_BUDGET: u64 = 2_000_000;
 
-/// Total ternary-simulation node visits per `prove` call. When exhausted,
-/// remaining shrink candidates are deterministically skipped (cubes stay
-/// larger; MIC still minimizes them with solver queries).
+/// Total ternary-simulation node visits per `prove` call. Every tested
+/// literal is charged a full pass below its requirement (`limit` nodes),
+/// whatever the event-driven kernel actually re-evaluates, so the budget
+/// bounds literal tests and cubes do not depend on the kernel. When
+/// exhausted, remaining shrink candidates are deterministically skipped
+/// (cubes stay larger; MIC still minimizes them with solver queries).
 const IC3_TERNARY_VISIT_BUDGET: u64 = 50_000_000;
 
 /// Down-generalization join iterations per dropped literal.
@@ -315,12 +345,9 @@ pub struct Ic3Engine<'m> {
     levels: Vec<Level>,
     /// SAT queries spent in the in-flight proof.
     queries: u64,
-    /// Solver conflict total at the start of the in-flight proof.
-    conflicts_at_prove: u64,
-    /// Ternary node visits spent in the in-flight proof.
-    tern_visits: u64,
-    tern_preset: Vec<u8>,
-    tern_values: Vec<u8>,
+    /// Solver propagation total at the start of the in-flight proof.
+    propagations_at_prove: u64,
+    ternary: Ternary,
     stats: Ic3Stats,
 }
 
@@ -451,10 +478,8 @@ impl<'m> Ic3Engine<'m> {
             reg_diff: vec![None; reg_count],
             levels: Vec::new(),
             queries: 0,
-            conflicts_at_prove: 0,
-            tern_visits: 0,
-            tern_preset: Vec::new(),
-            tern_values: Vec::new(),
+            propagations_at_prove: 0,
+            ternary: Ternary::new(IC3_TERNARY_VISIT_BUDGET),
             stats: Ic3Stats::default(),
         }
     }
@@ -520,8 +545,8 @@ impl<'m> Ic3Engine<'m> {
     /// conditional equality.
     pub fn prove(&mut self, z_prime: &[SignalId]) -> Ic3Outcome {
         self.queries = 0;
-        self.conflicts_at_prove = self.encoder.solver().stats().conflicts;
-        self.tern_visits = 0;
+        self.propagations_at_prove = self.propagations();
+        self.ternary.visits = 0;
         let out = self.prove_inner(z_prime);
         // Retire this proof's frame stack: the unit `¬act` permanently
         // satisfies every lemma clause of the level, so the next prove
@@ -530,7 +555,14 @@ impl<'m> Ic3Engine<'m> {
         for level in levels {
             self.encoder.add_clause(&[level.act.negative()]);
         }
+        self.stats.attempts += 1;
+        self.stats.propagations += self.propagations() - self.propagations_at_prove;
         out
+    }
+
+    /// The engine solver's cumulative propagation count.
+    fn propagations(&self) -> u64 {
+        self.encoder.solver().stats().propagations
     }
 
     fn prove_inner(&mut self, z_prime: &[SignalId]) -> Ic3Outcome {
@@ -539,9 +571,7 @@ impl<'m> Ic3Engine<'m> {
             // Structurally nothing to diverge: trivially safe.
             return Ic3Outcome::Proved(RelationalInvariant::default());
         }
-        let n = self.aig.node_count();
-        self.tern_preset.resize(n, T_X);
-        self.tern_values.resize(n, T_X);
+        self.ternary.sync(&self.aig);
         let bad_sat = self.encoder.lit(&self.aig, bad);
 
         // Base: can reset itself step into Bad? (Bad spans t and t+1, so
@@ -843,13 +873,7 @@ impl<'m> Ic3Engine<'m> {
         if self.queries > IC3_TOTAL_QUERY_BUDGET {
             return Err(Ic3Outcome::Diverged);
         }
-        let spent = self
-            .encoder
-            .solver()
-            .stats()
-            .conflicts
-            .saturating_sub(self.conflicts_at_prove);
-        if spent > IC3_TOTAL_CONFLICT_BUDGET {
+        if self.propagations() - self.propagations_at_prove > IC3_PROPAGATION_BUDGET {
             return Err(Ic3Outcome::Diverged);
         }
         match self
@@ -883,72 +907,181 @@ impl<'m> Ic3Engine<'m> {
     /// their model values, state bits at `cube`'s values, everything else
     /// unknown.
     fn seed_ternary(&mut self, cube: &Cube) {
-        for i in 0..self.input_lits.len() {
-            let l = self.input_lits[i];
-            self.tern_preset[l.node()] = match self.encoder.model_value(l) {
-                Some(true) => T_TRUE,
-                Some(false) => T_FALSE,
+        let preset = &mut self.ternary.preset;
+        for &l in &self.input_lits {
+            preset[l.node()] = match self.encoder.model_value(l) {
+                Some(v) => tval(v),
                 None => T_X,
             };
         }
         for bit in &self.bits {
-            self.tern_preset[bit.at_t.node()] = T_X;
+            preset[bit.at_t.node()] = T_X;
         }
         for &(idx, val) in cube {
-            let node = self.bits[idx as usize].at_t.node();
-            self.tern_preset[node] = if val { T_TRUE } else { T_FALSE };
+            preset[self.bits[idx as usize].at_t.node()] = tval(val);
         }
+    }
+
+    /// Ternary cube shrinking ([`Ternary::shrink`]) from the current seed,
+    /// counted as generalization drops.
+    fn ternary_shrink(&mut self, cube: &mut Cube, req: &[(AigLit, bool)]) {
+        self.stats.generalization_drops += self.ternary.shrink(&self.aig, &self.bits, cube, req);
+    }
+}
+
+/// Three-valued simulation for cube shrinking, event-driven.
+///
+/// A shrink evaluates the AIG below `limit` once. Each tested literal then
+/// turns its state bit to X and re-evaluates only that bit's fanout, in
+/// node order, until values stop changing; when the literal must stay, the
+/// change is undone from a log. Every test is charged `limit` visits, what
+/// a full re-evaluation below `limit` costs, so the visit budget cuts the
+/// literal sequence off where the full-pass oracle in the test module
+/// does, and every cube is independent of the kernel.
+#[derive(Debug)]
+struct Ternary {
+    /// Seeded node values: inputs from the SAT model, state bits from the
+    /// cube, X elsewhere.
+    preset: Vec<u8>,
+    /// Evaluated node values, valid below the in-flight shrink's `limit`.
+    values: Vec<u8>,
+    /// AND gates reading each node, ascending; extended as the AIG grows.
+    fanout: Vec<Vec<u32>>,
+    /// Gates awaiting re-evaluation, lowest node first.
+    queue: BinaryHeap<Reverse<u32>>,
+    /// `(node, old value)` for every value the in-flight test changed.
+    undo: Vec<(u32, u8)>,
+    /// Node visits charged in the in-flight proof.
+    visits: u64,
+    /// Node visits allowed per proof.
+    budget: u64,
+}
+
+impl Ternary {
+    fn new(budget: u64) -> Self {
+        Ternary {
+            preset: Vec::new(),
+            values: Vec::new(),
+            fanout: Vec::new(),
+            queue: BinaryHeap::new(),
+            undo: Vec::new(),
+            visits: 0,
+            budget,
+        }
+    }
+
+    /// Extends the per-node tables to every node of `aig`. Nodes are only
+    /// ever appended, so existing fanout lists gain the new gates at
+    /// their ends and stay sorted.
+    fn sync(&mut self, aig: &Aig) {
+        let n = aig.node_count();
+        for node in self.fanout.len()..n {
+            self.fanout.push(Vec::new());
+            if let Some((a, b)) = aig.and_fanins(node) {
+                self.fanout[a.node()].push(node as u32);
+                self.fanout[b.node()].push(node as u32);
+            }
+        }
+        self.preset.resize(n, T_X);
+        self.values.resize(n, T_X);
     }
 
     /// Drops cube literals whose removal keeps every requirement literal
     /// ternary-definite at its required value, never dropping the last
-    /// reset-differing literal. Fixed order, budgeted.
-    fn ternary_shrink(&mut self, cube: &mut Cube, req: &[(AigLit, bool)]) {
+    /// reset-differing literal. Fixed order, budgeted. Leaves dropped
+    /// literals at X in `preset` and returns how many were dropped.
+    fn shrink(
+        &mut self,
+        aig: &Aig,
+        bits: &[StateBit],
+        cube: &mut Cube,
+        req: &[(AigLit, bool)],
+    ) -> u64 {
         if cube.len() <= 1 || req.is_empty() {
-            return;
+            return 0;
         }
         let limit = req.iter().map(|&(l, _)| l.node()).max().unwrap_or(0) + 1;
         let pass_cost = limit as u64;
-        if self.tern_visits + pass_cost > IC3_TERNARY_VISIT_BUDGET {
-            return;
+        if self.visits + pass_cost > self.budget {
+            return 0;
         }
-        ternary_pass(&self.aig, &self.tern_preset, &mut self.tern_values, limit);
-        self.tern_visits += pass_cost;
-        if !req_holds(&self.tern_values, req) {
+        ternary_pass(aig, &self.preset, &mut self.values, limit);
+        self.visits += pass_cost;
+        if !req_holds(&self.values, req) {
             // Unassigned model bits already make the requirement
             // indefinite; nothing can be dropped on top of that.
-            return;
+            return 0;
         }
         let mut diff_count = cube
             .iter()
-            .filter(|&&(idx, val)| val != self.bits[idx as usize].reset)
+            .filter(|&&(idx, val)| val != bits[idx as usize].reset)
             .count();
+        let mut drops = 0;
         let mut i = 0;
         while i < cube.len() && cube.len() > 1 {
             let (idx, val) = cube[i];
-            let is_diff = val != self.bits[idx as usize].reset;
+            let is_diff = val != bits[idx as usize].reset;
             if is_diff && diff_count == 1 {
                 i += 1;
                 continue;
             }
-            if self.tern_visits + pass_cost > IC3_TERNARY_VISIT_BUDGET {
+            if self.visits + pass_cost > self.budget {
                 break;
             }
-            let node = self.bits[idx as usize].at_t.node();
-            self.tern_preset[node] = T_X;
-            ternary_pass(&self.aig, &self.tern_preset, &mut self.tern_values, limit);
-            self.tern_visits += pass_cost;
-            if req_holds(&self.tern_values, req) {
+            self.visits += pass_cost;
+            let node = bits[idx as usize].at_t.node();
+            self.preset[node] = T_X;
+            self.propagate_x(aig, node, limit);
+            if req_holds(&self.values, req) {
+                self.undo.clear();
                 cube.remove(i);
                 if is_diff {
                     diff_count -= 1;
                 }
-                self.stats.generalization_drops += 1;
+                drops += 1;
             } else {
-                self.tern_preset[node] = if val { T_TRUE } else { T_FALSE };
+                self.preset[node] = tval(val);
+                for (node, old) in self.undo.drain(..).rev() {
+                    self.values[node as usize] = old;
+                }
                 i += 1;
             }
         }
+        drops
+    }
+
+    /// Sets `node` to X and re-evaluates its fanout below `limit`, lowest
+    /// node first, so every gate reads final fanin values and is evaluated
+    /// at most once. Each changed value is logged in `undo`.
+    fn propagate_x(&mut self, aig: &Aig, node: usize, limit: usize) {
+        self.undo.push((node as u32, self.values[node]));
+        self.values[node] = T_X;
+        self.enqueue_fanout(node, limit);
+        let mut last = None;
+        while let Some(Reverse(gate)) = self.queue.pop() {
+            if last == Some(gate) {
+                // Queued by both fanins; already evaluated.
+                continue;
+            }
+            last = Some(gate);
+            let gate = gate as usize;
+            let (a, b) = aig.and_fanins(gate).expect("fanout lists hold AND gates");
+            let value = tand(tlit(&self.values, a), tlit(&self.values, b));
+            if value != self.values[gate] {
+                self.undo.push((gate as u32, self.values[gate]));
+                self.values[gate] = value;
+                self.enqueue_fanout(gate, limit);
+            }
+        }
+    }
+
+    /// Queues the gates reading `node` below `limit` (a prefix, since
+    /// fanout lists are ascending).
+    fn enqueue_fanout(&mut self, node: usize, limit: usize) {
+        let below = self.fanout[node]
+            .iter()
+            .take_while(|&&gate| (gate as usize) < limit);
+        self.queue.extend(below.map(|&gate| Reverse(gate)));
     }
 }
 
@@ -967,6 +1100,15 @@ fn cube_to_clause(bits: &[StateBit], cube: &Cube) -> RelationalClause {
                 }
             })
             .collect(),
+    }
+}
+
+/// The definite ternary value of a Boolean.
+fn tval(b: bool) -> u8 {
+    if b {
+        T_TRUE
+    } else {
+        T_FALSE
     }
 }
 
@@ -1182,6 +1324,182 @@ mod tests {
             }],
         };
         assert!(!malformed.is_well_formed(&m));
+    }
+
+    /// The full-pass shrink the event-driven kernel replaced, kept as its
+    /// oracle: every tested literal re-evaluates all nodes below `limit`.
+    /// Returns the drops; `visits` accumulates like `Ternary::visits`.
+    fn shrink_full_pass(
+        aig: &Aig,
+        preset: &mut [u8],
+        bits: &[StateBit],
+        cube: &mut Cube,
+        req: &[(AigLit, bool)],
+        visits: &mut u64,
+        budget: u64,
+    ) -> u64 {
+        if cube.len() <= 1 || req.is_empty() {
+            return 0;
+        }
+        let mut values = vec![T_X; aig.node_count()];
+        let limit = req.iter().map(|&(l, _)| l.node()).max().unwrap_or(0) + 1;
+        let pass_cost = limit as u64;
+        if *visits + pass_cost > budget {
+            return 0;
+        }
+        ternary_pass(aig, preset, &mut values, limit);
+        *visits += pass_cost;
+        if !req_holds(&values, req) {
+            return 0;
+        }
+        let mut diff_count = cube
+            .iter()
+            .filter(|&&(idx, val)| val != bits[idx as usize].reset)
+            .count();
+        let mut drops = 0;
+        let mut i = 0;
+        while i < cube.len() && cube.len() > 1 {
+            let (idx, val) = cube[i];
+            let is_diff = val != bits[idx as usize].reset;
+            if is_diff && diff_count == 1 {
+                i += 1;
+                continue;
+            }
+            if *visits + pass_cost > budget {
+                break;
+            }
+            let node = bits[idx as usize].at_t.node();
+            preset[node] = T_X;
+            ternary_pass(aig, preset, &mut values, limit);
+            *visits += pass_cost;
+            if req_holds(&values, req) {
+                cube.remove(i);
+                if is_diff {
+                    diff_count -= 1;
+                }
+                drops += 1;
+            } else {
+                preset[node] = tval(val);
+                i += 1;
+            }
+        }
+        drops
+    }
+
+    /// A deterministic xorshift stream for the randomized kernel test.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Adds random AND gates over the AIG's non-constant nodes; `nodes`
+    /// holds every node's positive literal, indexed by node.
+    fn grow_random(aig: &mut Aig, nodes: &mut Vec<AigLit>, rng: &mut XorShift, gates: usize) {
+        for _ in 0..gates {
+            let mut pick = || {
+                let lit = nodes[1 + rng.below(nodes.len() - 1)];
+                if rng.below(2) == 1 {
+                    !lit
+                } else {
+                    lit
+                }
+            };
+            let (a, b) = (pick(), pick());
+            let gate = aig.and(a, b);
+            if aig.node_count() > nodes.len() {
+                nodes.push(gate);
+            }
+        }
+    }
+
+    #[test]
+    fn event_driven_shrink_matches_the_full_pass() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        for case in 0..300 {
+            let mut aig = Aig::new();
+            let inputs: Vec<AigLit> = (0..2 + rng.below(12)).map(|_| aig.input()).collect();
+            let mut nodes = vec![AigLit::FALSE];
+            nodes.extend(&inputs);
+            let gates = 5 + rng.below(60);
+            grow_random(&mut aig, &mut nodes, &mut rng, gates);
+            // State bits: a random subset of the inputs, in input order.
+            let mut bits = Vec::new();
+            for &at_t in &inputs {
+                if rng.below(3) != 0 {
+                    bits.push(StateBit {
+                        reg: 0,
+                        inst: 0,
+                        bit: 0,
+                        at_t,
+                        at_t1: at_t,
+                        sat_t: Var::from_index(0).positive(),
+                        reset: rng.below(2) == 1,
+                    });
+                }
+            }
+            // Small budgets exercise the cut-off; large ones never bind.
+            let budget = if case % 3 == 0 {
+                rng.below(400) as u64
+            } else {
+                u64::MAX
+            };
+            let mut kernel = Ternary::new(budget);
+            let mut ref_visits = 0;
+            // Several shrinks per engine, growing the AIG in between, so
+            // stale values above a smaller `limit` and incrementally
+            // extended fanout lists are both covered.
+            for _round in 0..4 {
+                kernel.sync(&aig);
+                for &l in &inputs {
+                    kernel.preset[l.node()] = [T_FALSE, T_TRUE, T_X][rng.below(3)];
+                }
+                let mut cube: Cube = Vec::new();
+                for (i, bit) in bits.iter().enumerate() {
+                    let v = rng.below(2) == 1;
+                    kernel.preset[bit.at_t.node()] = tval(v);
+                    cube.push((i as u32, v));
+                }
+                let mut values = vec![T_X; aig.node_count()];
+                ternary_pass(&aig, &kernel.preset, &mut values, aig.node_count());
+                let req: Vec<(AigLit, bool)> = (0..1 + rng.below(3))
+                    .map(|_| {
+                        let lit = nodes[1 + rng.below(nodes.len() - 1)];
+                        // Mostly requirements that hold, sometimes not.
+                        let v = match tlit(&values, lit) {
+                            T_X => rng.below(2) == 1,
+                            t if rng.below(8) == 0 => t != T_TRUE,
+                            t => t == T_TRUE,
+                        };
+                        (lit, v)
+                    })
+                    .collect();
+                let mut ref_preset = kernel.preset.clone();
+                let mut ref_cube = cube.clone();
+                let ref_drops = shrink_full_pass(
+                    &aig,
+                    &mut ref_preset,
+                    &bits,
+                    &mut ref_cube,
+                    &req,
+                    &mut ref_visits,
+                    budget,
+                );
+                let drops = kernel.shrink(&aig, &bits, &mut cube, &req);
+                assert_eq!(cube, ref_cube, "case {case}: cubes differ");
+                assert_eq!(drops, ref_drops, "case {case}: drops differ");
+                assert_eq!(kernel.visits, ref_visits, "case {case}: visits differ");
+                assert_eq!(kernel.preset, ref_preset, "case {case}: presets differ");
+                assert!(kernel.undo.is_empty() && kernel.queue.is_empty());
+                let gates = rng.below(20);
+                grow_random(&mut aig, &mut nodes, &mut rng, gates);
+            }
+        }
     }
 
     #[test]

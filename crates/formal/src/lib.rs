@@ -68,7 +68,7 @@ pub use bmc::{
 pub use certify::{CertStats, CertifiedOutcome, CheckCertificate};
 pub use ic3::{
     Ic3Engine, Ic3Outcome, Ic3Stats, RelationalClause, RelationalInvariant, RelationalLit,
-    UpecEngine,
+    UpecEngine, IC3_PROPAGATION_BUDGET,
 };
 pub use reuse::{ClauseStore, MAX_REUSE_CLAUSE_LEN};
 pub use tseitin::CnfEncoder;

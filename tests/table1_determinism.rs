@@ -121,3 +121,17 @@ fn text_table_with_design_filter_is_byte_identical_across_jobs() {
     let parallel = run_table1(&studies, &opts(4));
     assert_eq!(sequential, parallel);
 }
+
+#[test]
+fn unknown_design_exits_2_and_lists_the_known_names() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(["--design", "ZipCPU-DIVV"])
+        .output()
+        .expect("table1 runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no table for an unknown design");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for known in ["ZipCPU-DIV", "CVA6-DIV", "BOOM", "AES (secworks)"] {
+        assert!(stderr.contains(known), "{known} missing from: {stderr}");
+    }
+}

@@ -5,7 +5,10 @@
 //! manual-effort reduction. (Absolute counts differ from the paper because
 //! the substrates are reimplemented models; see EXPERIMENTS.md.)
 
-use fastpath::{effort_reduction, run_baseline, run_fastpath, CompletionMethod, Verdict};
+use fastpath::{
+    effort_reduction, run_baseline, run_fastpath, CompletionMethod, FlowEvent, Verdict,
+};
+use fastpath_formal::IC3_PROPAGATION_BUDGET;
 
 #[test]
 fn crypto_accelerators_prove_structurally_with_zero_effort() {
@@ -136,12 +139,54 @@ fn boom_has_the_largest_state_and_a_large_reduction() {
     let total = fast.total_propagations.expect("upec ran");
     assert_eq!(total - ift, 3, "UPEC finds the 3 FP capture registers");
 
+    // Every escalation diverges, and each stops at the first query past
+    // the propagation cap, overshooting it by at most one query (BOOM's
+    // largest IC3 query is about 26 k propagations).
+    const ONE_QUERY: u64 = 100_000;
+    let ic3 = fast.ic3.expect("BOOM escalates to IC3");
+    assert!(ic3.attempts > 0);
+    assert!(
+        ic3.propagations < ic3.attempts * (IC3_PROPAGATION_BUDGET + ONE_QUERY),
+        "{} attempts spent {} propagations",
+        ic3.attempts,
+        ic3.propagations
+    );
+
     let base = run_baseline(&study);
     let reduction = effort_reduction(&base, &fast);
     assert!(
         reduction > 75.0,
         "BOOM reduction should be large (paper: 87%), got {reduction:.1}%"
     );
+}
+
+#[test]
+fn cva6_baseline_ic3_discharge_saves_one_inspection() {
+    // Table I's one SecIC3 discharge: a machine-derived invariant closes
+    // a baseline obligation that induction alone charges as an inspection
+    // (8 -> 7). The counters pin every CVA6-DIV attempt, which no IC3
+    // budget may cut short.
+    let study = fastpath_designs::cva6_div::case_study();
+    let base = run_baseline(&study);
+    assert_eq!(base.manual_inspections, 7);
+    let discharges = base
+        .events
+        .iter()
+        .filter(|e| matches!(e, FlowEvent::Ic3Discharged { .. }))
+        .count();
+    assert_eq!(discharges, 1);
+    let ic3 = base.ic3.expect("CVA6-DIV baseline escalates to IC3");
+    assert_eq!(
+        (
+            ic3.frames,
+            ic3.ctis,
+            ic3.lemmas,
+            ic3.generalization_drops,
+            ic3.pushes
+        ),
+        (3, 110, 109, 22_915, 56)
+    );
+    assert_eq!(ic3.attempts, 3);
 }
 
 #[test]

@@ -40,11 +40,13 @@
 //!                cache-less --certify run; hit/miss counters appear only
 //!                in --bench-json
 //!   --upec-encoding bits|words
-//!                SAT encoding for every UPEC check (default: words, the
-//!                guarded word-level equivalence predicates; bits is the
-//!                flat bit-equality reference oracle). The rendered table
-//!                is byte-identical between the two — only the product
-//!                size counters in --bench-json and wall-clock differ
+//!                SAT encoding the UPEC engines start in (default: words,
+//!                the guarded word-level equivalence predicates; bits is
+//!                the flat bit-equality reference oracle). A word check
+//!                that runs out of its conflict budget is answered in
+//!                bits, and its engine stays in bits. Inspection counts
+//!                can differ between the two (cv32e40s baseline: 43 in
+//!                words, 42 in bits)
 //!   --upec-engine induction|ic3
 //!                formal engine policy (default: ic3). ic3 escalates
 //!                inspection-costing counterexamples to the SecIC3

@@ -61,10 +61,11 @@ pub struct Table1Options {
     /// cache-less `--certify` run — hit/miss counters go only into the
     /// `--bench-json` record.
     pub proof_cache: Option<PathBuf>,
-    /// SAT encoding for every UPEC check (`--upec-encoding bits|words`).
-    /// The rendered table is byte-identical between the two — the
-    /// equivalence smoke test in CI relies on it; only the product-size
-    /// counters and wall-clock in `--bench-json` differ.
+    /// SAT encoding the UPEC engines start in (`--upec-encoding
+    /// bits|words`; see [`FlowOptions::upec_encoding`]). The rendered
+    /// table is byte-identical between the two on the designs CI's
+    /// equivalence smoke test compares; cv32e40s's baseline takes one
+    /// inspection more in words than in bits.
     pub upec_encoding: UpecEncoding,
     /// Formal engine policy (`--upec-engine induction|ic3`). `ic3` (the
     /// default) escalates inspection-costing counterexamples to the

@@ -811,18 +811,17 @@ impl Checker {
                 qh += 1;
                 self.stats.propagations += 1;
             }
-            let undo_probe =
-                |val: &mut [i8], nonfalse2: &mut [u32], trail2: &[Lit], qh: usize| {
-                    for i in (0..qh).rev() {
-                        let falsified = !trail2[i];
-                        for &c2 in &self.occ[falsified.index()] {
-                            nonfalse2[c2 as usize] += 1;
-                        }
+            let undo_probe = |val: &mut [i8], nonfalse2: &mut [u32], trail2: &[Lit], qh: usize| {
+                for i in (0..qh).rev() {
+                    let falsified = !trail2[i];
+                    for &c2 in &self.occ[falsified.index()] {
+                        nonfalse2[c2 as usize] += 1;
                     }
-                    for &l in trail2 {
-                        val[l.var().index()] = 0;
-                    }
-                };
+                }
+                for &l in trail2 {
+                    val[l.var().index()] = 0;
+                }
+            };
             let Some(conflict) = conflict else {
                 undo_probe(&mut val, &mut nonfalse2, &trail2, qh);
                 return Err(CertError::LearnNotRup {
@@ -835,7 +834,12 @@ impl Checker {
             let mut stack: Vec<usize> = Vec::new();
             let seed_clause = match conflict {
                 ConflictSeed::Clause(c) => {
-                    stack.extend(self.clauses[c as usize].lits.iter().map(|l| l.var().index()));
+                    stack.extend(
+                        self.clauses[c as usize]
+                            .lits
+                            .iter()
+                            .map(|l| l.var().index()),
+                    );
                     Some(c)
                 }
                 ConflictSeed::Lit(lit) => {
@@ -852,7 +856,12 @@ impl Checker {
                 let r = reason2[v];
                 if r != NO_REASON && val[v] != 0 {
                     chain.push((order2[v], r));
-                    stack.extend(self.clauses[r as usize].lits.iter().map(|l| l.var().index()));
+                    stack.extend(
+                        self.clauses[r as usize]
+                            .lits
+                            .iter()
+                            .map(|l| l.var().index()),
+                    );
                 }
             }
             chain.sort_unstable();

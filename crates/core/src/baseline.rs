@@ -9,8 +9,8 @@
 
 use crate::cache::CheckKind;
 use crate::flow::{
-    active_check_key, ensure_upec_engine, finish_upec_proved, rerun_in_bits, sync_spec_entries,
-    try_ic3_discharge, DischargeResult, FlowContext, FlowOptions, Ic3State, SyncedSpec,
+    active_check_key, ensure_upec_engine, finish_upec_proved, sync_spec_entries, try_ic3_discharge,
+    DischargeResult, FlowContext, FlowOptions, Ic3State, SyncedSpec,
 };
 use crate::report::{
     CertificationSummary, CompletionMethod, FlowEvent, FlowReport, Stage, Verdict,
@@ -113,33 +113,12 @@ pub fn run_baseline_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                         let t0 = Instant::now();
                         let outcome = if ctx.certification.is_some() {
                             let certified = engine.check_state_only_certified(&z_vec);
-                            let fell = engine.product_stats().word_fallbacks;
-                            if fell > 0 {
-                                return rerun_in_bits(
-                                    study,
-                                    &options,
-                                    fell,
-                                    ctx.ic3,
-                                    run_baseline_with,
-                                );
-                            }
                             ctx.record_certificate(&certified);
                             let artifact = engine.take_last_artifact();
                             ctx.store_cached_check(key.as_ref(), &certified, artifact);
                             certified.outcome
                         } else {
-                            let outcome = engine.check_state_only(&z_vec);
-                            let fell = engine.product_stats().word_fallbacks;
-                            if fell > 0 {
-                                return rerun_in_bits(
-                                    study,
-                                    &options,
-                                    fell,
-                                    ctx.ic3,
-                                    run_baseline_with,
-                                );
-                            }
-                            outcome
+                            engine.check_state_only(&z_vec)
                         };
                         ctx.timings.formal_checks += t0.elapsed();
                         outcome
@@ -171,33 +150,12 @@ pub fn run_baseline_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                             let t0 = Instant::now();
                             let outcome = if ctx.certification.is_some() {
                                 let certified = engine.check_certified(&z_vec);
-                                let fell = engine.product_stats().word_fallbacks;
-                                if fell > 0 {
-                                    return rerun_in_bits(
-                                        study,
-                                        &options,
-                                        fell,
-                                        ctx.ic3,
-                                        run_baseline_with,
-                                    );
-                                }
                                 ctx.record_certificate(&certified);
                                 let artifact = engine.take_last_artifact();
                                 ctx.store_cached_check(key.as_ref(), &certified, artifact);
                                 certified.outcome
                             } else {
-                                let outcome = engine.check(&z_vec);
-                                let fell = engine.product_stats().word_fallbacks;
-                                if fell > 0 {
-                                    return rerun_in_bits(
-                                        study,
-                                        &options,
-                                        fell,
-                                        ctx.ic3,
-                                        run_baseline_with,
-                                    );
-                                }
-                                outcome
+                                engine.check(&z_vec)
                             };
                             ctx.timings.formal_checks += t0.elapsed();
                             outcome

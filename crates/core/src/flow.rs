@@ -108,11 +108,16 @@ pub struct FlowOptions {
     /// checker, counterexamples reproduced by concrete simulation), so
     /// the report from a warm run is identical to a cold certified run.
     pub cache: Option<Arc<dyn ProofCache>>,
-    /// SAT encoding for every UPEC check of the flow. Verdicts, methods,
-    /// and inspection counts are byte-identical for both encodings; only
-    /// the product size and wall-clock differ. Defaults to the word-level
-    /// guarded-predicate encoding; `bits` is the flat bit-equality
-    /// reference oracle.
+    /// SAT encoding the flow's UPEC engines start in. A word check that
+    /// exhausts its conflict budget is answered through the bit path, and
+    /// that engine stays in bits from then on (counted in
+    /// [`ProductStats::word_fallbacks`]). Cache keys carry this option,
+    /// not the encoding that answered, so a warm run hits every check the
+    /// cold run answered. Each encoding steers refinement by its own
+    /// counterexamples, so inspection counts can differ between them:
+    /// cv32e40s's baseline takes 43 under `words` and 42 under `bits`.
+    /// Defaults to the word-level guarded-predicate encoding; `bits` is
+    /// the flat bit-equality reference oracle.
     pub upec_encoding: UpecEncoding,
     /// Formal engine policy. With [`UpecEngine::Ic3`] (the production
     /// default), whenever a formal counterexample would cost manual
@@ -155,35 +160,6 @@ impl Default for FlowOptions {
 /// Runs the complete FastPath flow on a case study.
 pub fn run_fastpath(study: &CaseStudy) -> FlowReport {
     run_fastpath_with(study, FlowOptions::default())
-}
-
-/// A word-mode check exhausted its conflict budget: the split product is
-/// structurally wrong for this design, and letting individual checks
-/// answer via the bit path would steer refinement by SAT-model noise
-/// instead of the bit-level reference trace. Rerun the whole flow in bit
-/// mode — the report then *is* the reference trace — and keep the
-/// fallback count visible in the product counters. Nothing from the
-/// abandoned word attempt is cached, so warm reruns reconverge on the
-/// same route. Its IC3 escalations (`abandoned_ic3`) were real work, so
-/// their counters are kept.
-pub(crate) fn rerun_in_bits(
-    study: &CaseStudy,
-    options: &FlowOptions,
-    fallbacks: u64,
-    abandoned_ic3: Option<Ic3Stats>,
-    run: fn(&CaseStudy, FlowOptions) -> FlowReport,
-) -> FlowReport {
-    let mut bits = options.clone();
-    bits.upec_encoding = UpecEncoding::Bits;
-    let mut report = run(study, bits);
-    report.product.word_fallbacks = fallbacks;
-    if let Some(abandoned) = abandoned_ic3 {
-        report
-            .ic3
-            .get_or_insert_with(Ic3Stats::default)
-            .merge(&abandoned);
-    }
-    report
 }
 
 /// Runs the FastPath flow with ablation options.
@@ -329,33 +305,12 @@ pub fn run_fastpath_with(study: &CaseStudy, options: FlowOptions) -> FlowReport 
                             let t0 = Instant::now();
                             let outcome = if ctx.certification.is_some() {
                                 let certified = engine.check_certified(&z_vec);
-                                let fell = engine.product_stats().word_fallbacks;
-                                if fell > 0 {
-                                    return rerun_in_bits(
-                                        study,
-                                        &options,
-                                        fell,
-                                        ctx.ic3,
-                                        run_fastpath_with,
-                                    );
-                                }
                                 ctx.record_certificate(&certified);
                                 let artifact = engine.take_last_artifact();
                                 ctx.store_cached_check(key.as_ref(), &certified, artifact);
                                 certified.outcome
                             } else {
-                                let outcome = engine.check(&z_vec);
-                                let fell = engine.product_stats().word_fallbacks;
-                                if fell > 0 {
-                                    return rerun_in_bits(
-                                        study,
-                                        &options,
-                                        fell,
-                                        ctx.ic3,
-                                        run_fastpath_with,
-                                    );
-                                }
-                                outcome
+                                engine.check(&z_vec)
                             };
                             ctx.timings.formal_checks += t0.elapsed();
                             outcome
@@ -1643,6 +1598,8 @@ mod tests {
         assert_eq!(warm_stats.misses, 0, "warm run must be fully served");
         assert!(warm_stats.hits >= warm.timings.check_count);
         assert_eq!(warm.timings.formal_elaboration, Duration::ZERO);
+        assert_eq!(warm.product.checks, 0);
+        assert_eq!(warm.product.word_fallbacks, 0);
 
         // Attaching a cache implies certification, and cached verdicts are
         // re-validated on load so the accounting still balances.
@@ -1764,8 +1721,7 @@ mod tests {
             stored.verdict,
         );
         assert_eq!(
-            stored.solver_stats.reuse_imported,
-            stored.solver_stats.reuse_probed,
+            stored.solver_stats.reuse_imported, stored.solver_stats.reuse_probed,
             "an implied clause must survive the probe"
         );
         assert_eq!(plain.solver_stats.reuse_probed, 0);

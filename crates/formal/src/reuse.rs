@@ -171,10 +171,7 @@ impl ClauseStore {
         }
         let mut hasher = StableHasher::new(CHECKSUM_SEED);
         hasher.write_bytes(body.as_bytes());
-        let text = format!(
-            "{MAGIC}\n{body}checksum {}\n",
-            hasher.finish().to_hex()
-        );
+        let text = format!("{MAGIC}\n{body}checksum {}\n", hasher.finish().to_hex());
 
         let tmp = path.with_extension("tmp");
         if let Some(dir) = path.parent() {
@@ -267,7 +264,10 @@ mod tests {
         warm.publish(digest(1), vec![vec![1, -2], vec![7, 8]]);
         warm.save().expect("save");
         let merged = ClauseStore::open(&path);
-        assert_eq!(merged.lookup(&digest(1)), &[vec![1, -2], vec![3], vec![7, 8]]);
+        assert_eq!(
+            merged.lookup(&digest(1)),
+            &[vec![1, -2], vec![3], vec![7, 8]]
+        );
 
         let _ = std::fs::remove_file(&path);
     }

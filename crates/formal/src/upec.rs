@@ -267,7 +267,8 @@ pub struct ProductStats {
     /// plus, in word mode, one selector per state register).
     pub guard_assumptions: u64,
     /// Word-mode checks that exhausted the conflict budget on the split
-    /// product and were re-run through the bit-level path (0 in bit
+    /// product and were answered through the bit-level path. The engine
+    /// then stays in bit mode, so this is at most 1 per engine (0 in bit
     /// mode).
     pub word_fallbacks: u64,
 }
@@ -736,12 +737,15 @@ impl<'m> Upec2Safety<'m> {
 
     /// Selects how `Z'` is lowered into the SAT instance (see
     /// [`UpecEncoding`]). Defaults to [`UpecEncoding::Bits`], the
-    /// reference oracle.
+    /// reference oracle. A word check that exhausts its conflict budget
+    /// switches the engine to bits by itself: the bit path runs on the
+    /// same solver, next to the word product, and answers that check and
+    /// every later one.
     ///
     /// # Panics
     ///
-    /// Panics if any check has already run — the two encodings build the
-    /// product differently and cannot be mixed on one solver.
+    /// Panics if any check has already run — the encoding is the
+    /// caller's choice for the engine's first check only.
     pub fn set_encoding(&mut self, encoding: UpecEncoding) {
         assert_eq!(
             self.checks, 0,
@@ -1696,11 +1700,14 @@ impl<'m> Upec2Safety<'m> {
             // structurally, and the solver is re-deriving those internal
             // equivalences one conflict at a time. Retire the word
             // attempt's guard (its learnt clauses are implied and stay
-            // useful) and re-run the check through the bit-level path on
+            // useful) and answer the check through the bit-level path on
             // the same solver — verdict, model shape, and certification
-            // all follow the bit path from here.
+            // all follow the bit path from here. The engine stays in bit
+            // mode for the rest of its life, so it pays for at most one
+            // exhausted word budget.
             self.product_stats.word_fallbacks += 1;
             self.encoder.add_clause(&[ng]);
+            self.encoding = UpecEncoding::Bits;
             return self.check_bits(z_prime, include_outputs);
         };
         let result = match outcome {
@@ -2628,10 +2635,8 @@ mod tests {
         let m = conjunction_reg();
         let r = m.signal_by_name("r").expect("r");
         let label = fastpath_rtl::canonical_form(&m).signal_label(r);
-        let path = std::env::temp_dir().join(format!(
-            "fastpath_clause_store_{}.txt",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("fastpath_clause_store_{}.txt", std::process::id()));
         let _ = std::fs::remove_file(&path);
         // Seed the store with one implied cone-local clause (¬root ∨
         // fanin: half of the AND's Tseitin definition, hence RUP) and

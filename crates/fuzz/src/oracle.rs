@@ -45,12 +45,12 @@
 //!    inspection count exactly; with certification on, the bits re-run
 //!    must also be fully certified.
 //! 10. **Ic3Agreement** — the IC3-escalating flow (the engine default)
-//!    must never be *weaker* than the escalation-free induction
-//!    reference: its verdict ranks at least as strong, it never inspects
-//!    more counterexamples, and any constraint it activates the
-//!    reference activated too (a certified discharge may only remove
-//!    work, never add it); with certification on, the induction re-run
-//!    must also be fully certified.
+//!     must never be *weaker* than the escalation-free induction
+//!     reference: its verdict ranks at least as strong, it never inspects
+//!     more counterexamples, and any constraint it activates the
+//!     reference activated too (a certified discharge may only remove
+//!     work, never add it); with certification on, the induction re-run
+//!     must also be fully certified.
 //!
 //! An extra, zero-trust cross-check — **EngineEquivalence** — runs the
 //! compiled and interpretive simulators side by side on the same case

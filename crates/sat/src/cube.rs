@@ -70,8 +70,14 @@ const CUBE_CANDIDATES: usize = 24;
 /// A binary cube tree. Leaves carry the index of their cube in leaf
 /// (DFS) order; every node knows its cube prefix for spine emission.
 enum CubeTree {
-    Leaf { index: usize },
-    Split { prefix: Vec<Lit>, first: Box<CubeTree>, second: Box<CubeTree> },
+    Leaf {
+        index: usize,
+    },
+    Split {
+        prefix: Vec<Lit>,
+        first: Box<CubeTree>,
+        second: Box<CubeTree>,
+    },
 }
 
 /// What the conquest of one cube produced. UNSAT keeps only the splice
@@ -292,7 +298,11 @@ fn emit_stitched(
                 out.push(ProofStep::Learn(lits.clone()));
             }
         }
-        CubeTree::Split { prefix, first, second } => {
+        CubeTree::Split {
+            prefix,
+            first,
+            second,
+        } => {
             emit_stitched(first, assumptions, unsat_cubes, out);
             emit_stitched(second, assumptions, unsat_cubes, out);
             let spine: Vec<Lit> = assumptions
@@ -343,7 +353,13 @@ fn build_tree(
     let mut second_prefix = prefix.clone();
     second_prefix.push(!lit);
     let first = Box::new(build_tree(gen, assumptions, first_prefix, depth - 1, cubes));
-    let second = Box::new(build_tree(gen, assumptions, second_prefix, depth - 1, cubes));
+    let second = Box::new(build_tree(
+        gen,
+        assumptions,
+        second_prefix,
+        depth - 1,
+        cubes,
+    ));
     CubeTree::Split {
         prefix,
         first,
@@ -389,10 +405,8 @@ fn establish_context(gen: &mut Solver, assumptions: &[Lit], prefix: &[Lit]) -> b
 /// `None` when nothing scores above zero.
 fn pick_split(gen: &mut Solver) -> Option<Var> {
     let mut candidates: Vec<Var> = (0..gen.num_vars())
-        .map(|i| Var::from_index(i))
-        .filter(|v| {
-            gen.assigns[v.index()] == LBool::Undef && !gen.eliminated[v.index()]
-        })
+        .map(Var::from_index)
+        .filter(|v| gen.assigns[v.index()] == LBool::Undef && !gen.eliminated[v.index()])
         .collect();
     candidates.sort_by(|a, b| {
         gen.activity[b.index()]
@@ -425,7 +439,7 @@ fn pick_split(gen: &mut Solver) -> Option<Var> {
             continue;
         }
         let score = yields[0] * yields[1];
-        if score > 0 && best.map_or(true, |(s, _)| score > s) {
+        if score > 0 && best.is_none_or(|(s, _)| score > s) {
             best = Some((score, v));
         }
     }
@@ -528,8 +542,7 @@ mod tests {
                 s.set_cube_trigger(1);
                 let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
                 for clause in &cnf {
-                    let lits: Vec<Lit> =
-                        clause.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
+                    let lits: Vec<Lit> = clause.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
                     s.add_clause(&lits);
                 }
                 let res = s.solve();

@@ -6,9 +6,12 @@
 //! the substrates are reimplemented models; see EXPERIMENTS.md.)
 
 use fastpath::{
-    effort_reduction, run_baseline, run_fastpath, CompletionMethod, FlowEvent, Verdict,
+    effort_reduction, run_baseline, run_fastpath, run_fastpath_with, CompletionMethod, FlowEvent,
+    FlowOptions, MemoryCache, ProofCache, UpecEngine, Verdict,
 };
 use fastpath_formal::IC3_PROPAGATION_BUDGET;
+use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn crypto_accelerators_prove_structurally_with_zero_effort() {
@@ -123,6 +126,11 @@ fn cv32e40s_leak_is_found_fixed_and_reproven() {
     let ift = fast.ift_propagations.expect("ift ran");
     let total = fast.total_propagations.expect("upec ran");
     assert_eq!(total - ift, 1, "UPEC finds exactly the MULH register");
+    // The MULH check exhausts the word budget once; the engine answers it
+    // in bits and stays there.
+    assert_eq!(fast.product.word_fallbacks, 1);
+    let ic3 = fast.ic3.expect("cv32e40s escalates to IC3");
+    assert_eq!(ic3.attempts, 7);
 }
 
 #[test]
@@ -144,7 +152,7 @@ fn boom_has_the_largest_state_and_a_large_reduction() {
     // largest IC3 query is about 26 k propagations).
     const ONE_QUERY: u64 = 100_000;
     let ic3 = fast.ic3.expect("BOOM escalates to IC3");
-    assert!(ic3.attempts > 0);
+    assert_eq!(ic3.attempts, 2);
     assert!(
         ic3.propagations < ic3.attempts * (IC3_PROPAGATION_BUDGET + ONE_QUERY),
         "{} attempts spent {} propagations",
@@ -152,12 +160,62 @@ fn boom_has_the_largest_state_and_a_large_reduction() {
         ic3.propagations
     );
 
+    // The FP mantissa product exhausts one word budget per side. The
+    // engine answers that check in bits and the run goes on, so each side
+    // shows one fallback and the fuse's two escalations.
+    assert_eq!(fast.product.word_fallbacks, 1);
     let base = run_baseline(&study);
+    assert_eq!(base.product.word_fallbacks, 1);
+    assert_eq!(
+        base.ic3.expect("BOOM baseline escalates to IC3").attempts,
+        2
+    );
     let reduction = effort_reduction(&base, &fast);
     assert!(
         reduction > 75.0,
         "BOOM reduction should be large (paper: 87%), got {reduction:.1}%"
     );
+}
+
+#[test]
+fn boom_warm_cache_replay_is_identical_and_fully_served() {
+    // BOOM's FP mantissa check exhausts the word budget. The cold run
+    // answers it in bits and caches that answer under the run's words
+    // key, so the warm run serves every check without a UPEC engine.
+    // Induction only: failed IC3 attempts are never cached, so under
+    // `ic3` the warm side would rebuild an engine to repeat them.
+    let study = fastpath_designs::boom::case_study();
+    let shared: Arc<dyn ProofCache> = Arc::new(MemoryCache::new());
+    let with_cache = || FlowOptions {
+        cache: Some(Arc::clone(&shared)),
+        upec_engine: UpecEngine::Induction,
+        ..FlowOptions::default()
+    };
+    let cold = run_fastpath_with(&study, with_cache());
+    let warm = run_fastpath_with(&study, with_cache());
+    assert_eq!(cold.product.word_fallbacks, 1);
+
+    assert_eq!(cold.verdict, warm.verdict);
+    assert_eq!(cold.method, warm.method);
+    assert_eq!(cold.events, warm.events);
+    assert_eq!(cold.derived_constraints, warm.derived_constraints);
+    assert_eq!(cold.manual_inspections, warm.manual_inspections);
+    assert_eq!(cold.timings.check_count, warm.timings.check_count);
+    assert_eq!(cold.sim.runs, warm.sim.runs);
+    assert_eq!(cold.sim.cycles, warm.sim.cycles);
+
+    let warm_stats = warm.cache.expect("cache attached");
+    assert_eq!(warm_stats.misses, 0, "warm run must be fully served");
+    assert!(warm_stats.hits >= warm.timings.check_count);
+    assert_eq!(warm.timings.formal_elaboration, Duration::ZERO);
+    assert_eq!(warm.product.checks, 0);
+    assert_eq!(warm.product.word_fallbacks, 0);
+
+    for report in [&cold, &warm] {
+        let cert = report.certification.as_ref().expect("cache => certify");
+        assert!(cert.fully_certified(), "{:?}", cert.failures);
+        assert_eq!(cert.stats.certified_checks, report.timings.check_count);
+    }
 }
 
 #[test]

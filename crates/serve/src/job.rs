@@ -168,7 +168,10 @@ pub fn decode_job(text: &str) -> Result<Job, String> {
         if rest.len() < len {
             return Err("truncated netlist blob".into());
         }
-        JobSource::Netlist(rest[..len].to_string())
+        let blob = rest
+            .get(..len)
+            .ok_or("netlist length ends inside a UTF-8 character")?;
+        JobSource::Netlist(blob.to_string())
     } else {
         return Err("missing study/netlist source".into());
     };
@@ -374,6 +377,17 @@ mod tests {
         });
         text.truncate(text.len() - 4);
         assert!(decode_job(&text).is_err());
+        // A length that ends inside a multi-byte character is rejected
+        // with a typed error, not a panic: byte 9 is the middle of "é".
+        let text = encode_job(&Job {
+            name: "dut".into(),
+            mode: JobMode::Cones,
+            cycles: None,
+            seed: None,
+            source: JobSource::Netlist("module dé\nend\n".into()),
+        })
+        .replace("netlist 15\n", "netlist 9\n");
+        assert!(decode_job(&text).unwrap_err().contains("UTF-8"));
     }
 
     #[test]

@@ -241,14 +241,19 @@ impl<'m> Compiler<'m> {
             }
         }
 
-        let small_only = self.slots.iter().all(|s| s.limbs == 1);
+        let max_limbs = self
+            .slots
+            .iter()
+            .map(|s| s.limbs as usize)
+            .max()
+            .unwrap_or(0);
         SimTape {
             slots: self.slots,
             signal_slot: self.signal_slot,
             init,
             settle,
             clock,
-            small_only,
+            max_limbs,
             signal_count: self.module.signal_count(),
         }
     }

@@ -369,9 +369,10 @@ fn conservative(value: BitVec, inputs: &[&Labeled]) -> Labeled {
     }
 }
 
-/// Per-op taint kernel for unary operators, shared between the
-/// interpretive [`TaintSimulator`] and the compiled tape's wide fallback.
-pub(crate) fn label_unary(policy: FlowPolicy, op: UnaryOp, a: &Labeled) -> Labeled {
+/// Per-op taint kernel for unary operators in the interpretive
+/// [`TaintSimulator`]: the reference the compiled tape's `u64` and
+/// multi-limb kernels are checked against.
+fn label_unary(policy: FlowPolicy, op: UnaryOp, a: &Labeled) -> Labeled {
     use fastpath_rtl::UnaryOp::*;
     let value = match op {
         Not => !&a.value,
@@ -402,7 +403,7 @@ pub(crate) fn label_unary(policy: FlowPolicy, op: UnaryOp, a: &Labeled) -> Label
 }
 
 /// Per-op taint kernel for binary operators (see [`label_unary`]).
-pub(crate) fn label_binary(policy: FlowPolicy, op: BinaryOp, a: &Labeled, b: &Labeled) -> Labeled {
+fn label_binary(policy: FlowPolicy, op: BinaryOp, a: &Labeled, b: &Labeled) -> Labeled {
     use fastpath_rtl::BinaryOp::*;
     let value = fastpath_rtl::eval_binary(op, &a.value, &b.value);
     if policy == FlowPolicy::Conservative {
@@ -471,7 +472,7 @@ pub(crate) fn label_binary(policy: FlowPolicy, op: BinaryOp, a: &Labeled, b: &La
 }
 
 /// Per-op taint kernel for the 2:1 mux (see [`label_unary`]).
-pub(crate) fn label_mux(policy: FlowPolicy, c: &Labeled, t: &Labeled, e: &Labeled) -> Labeled {
+fn label_mux(policy: FlowPolicy, c: &Labeled, t: &Labeled, e: &Labeled) -> Labeled {
     let take_then = c.value.is_true();
     let value = if take_then {
         t.value.clone()

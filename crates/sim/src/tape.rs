@@ -12,27 +12,30 @@
 //!   stages register-to-register moves through scratch slots, and commits
 //!   every register.
 //!
-//! Signals at most 64 bits wide take the **small fast path**: one limb per
-//! slot and pure `u64` arithmetic, so a steady-state cycle performs zero
-//! heap allocations. Wider signals fall back to [`BitVec`] operations over
-//! the same arena (the only allocating path, absent from all-small
-//! designs).
+//! Instructions whose slots are all at most 64 bits wide take the **small
+//! fast path**: one limb per slot and pure `u64` arithmetic. Every other
+//! instruction runs a **multi-limb kernel** that applies the same rules
+//! limb by limb, for any limb count, reading its operands' limbs in place
+//! in the arena. Its result is staged in the executor's scratch buffer
+//! (sized once, from the tape's widest slot) and then committed, so no
+//! instruction touches the heap and a steady-state cycle performs zero
+//! allocations at any width.
 //!
 //! The same tape drives two executors:
 //!
 //! - [`CompiledSim`]: functional values only (mirrors
 //!   [`Simulator`](crate::Simulator));
 //! - [`CompiledTaintSim`]: values **and** per-bit taint masks — the
-//!   [`FlowPolicy`] rules of `taint.rs` restated as branch-free `u64`
-//!   kernels, with the shared [`Labeled`] kernels as the wide fallback
-//!   (mirrors [`TaintSimulator`](crate::TaintSimulator)).
+//!   [`FlowPolicy`] rules of `taint.rs` restated as `u64` and multi-limb
+//!   kernels (mirrors [`TaintSimulator`](crate::TaintSimulator)).
 //!
 //! The interpretive simulators remain the reference oracle; the
 //! `sim_engine_equivalence` suite asserts bit-for-bit agreement on values
 //! and taint masks under both policies.
 
-use crate::taint::{label_binary, label_mux, label_unary, FlowPolicy, Labeled, TaintEngine};
-use fastpath_rtl::{BinaryOp, BitVec, Module, SignalId, SignalKind, UnaryOp};
+use crate::taint::{FlowPolicy, Labeled, TaintEngine};
+use fastpath_rtl::{BitVec, Module, SignalId, SignalKind};
+use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -146,7 +149,9 @@ pub struct SimTape {
     pub(crate) settle: Vec<Instr>,
     /// Next-state cones, staging moves, register commits.
     pub(crate) clock: Vec<Instr>,
-    pub(crate) small_only: bool,
+    /// Limb count of the widest slot: the size of an executor's scratch
+    /// buffer, per arena.
+    pub(crate) max_limbs: usize,
     pub(crate) signal_count: usize,
 }
 
@@ -161,10 +166,11 @@ impl SimTape {
         self.settle.len() + self.clock.len()
     }
 
-    /// `true` iff every slot is at most 64 bits wide, i.e. steady-state
-    /// cycles run entirely on the alloc-free `u64` fast path.
+    /// `true` iff every slot is at most 64 bits wide, i.e. every
+    /// instruction runs on the single-limb `u64` kernels and none on the
+    /// multi-limb ones.
     pub fn is_small_only(&self) -> bool {
-        self.small_only
+        self.max_limbs <= 1
     }
 
     fn slot_of(&self, id: SignalId) -> Slot {
@@ -199,10 +205,7 @@ fn carry_smear(taint: u64, mask: u64) -> u64 {
 }
 
 fn load_bits(values: &[u64], slot: Slot) -> BitVec {
-    BitVec::from_limbs(
-        slot.width,
-        &values[slot.offset as usize..][..slot.limbs as usize],
-    )
+    BitVec::from_limbs(slot.width, limbs_of(values, slot))
 }
 
 fn store_bits(values: &mut [u64], slot: Slot, v: &BitVec) {
@@ -508,156 +511,405 @@ fn small_taint_conservative(slots: &[Slot], i: &Instr, t: &[u64]) -> u64 {
     }
 }
 
-fn as_unary(op: Op) -> Option<UnaryOp> {
-    match op {
-        Op::Not => Some(UnaryOp::Not),
-        Op::Neg => Some(UnaryOp::Neg),
-        Op::RedAnd => Some(UnaryOp::RedAnd),
-        Op::RedOr => Some(UnaryOp::RedOr),
-        Op::RedXor => Some(UnaryOp::RedXor),
-        _ => None,
+/// The limbs of `slot` in `arena`.
+#[inline(always)]
+fn limbs_of(arena: &[u64], slot: Slot) -> &[u64] {
+    &arena[slot.offset as usize..][..slot.limbs as usize]
+}
+
+/// Mask of the meaningful bits in the top limb of a `width`-bit value.
+#[inline(always)]
+fn top_mask(width: u32) -> u64 {
+    mask_of((width - 1) % 64 + 1)
+}
+
+/// Keeps a multi-limb result masked to its width.
+#[inline(always)]
+fn mask_top(out: &mut [u64], width: u32) {
+    if let Some(top) = out.last_mut() {
+        *top &= top_mask(width);
     }
 }
 
-fn as_binary(op: Op) -> Option<BinaryOp> {
-    match op {
-        Op::And => Some(BinaryOp::And),
-        Op::Or => Some(BinaryOp::Or),
-        Op::Xor => Some(BinaryOp::Xor),
-        Op::Add => Some(BinaryOp::Add),
-        Op::Sub => Some(BinaryOp::Sub),
-        Op::Mul => Some(BinaryOp::Mul),
-        Op::Shl => Some(BinaryOp::Shl),
-        Op::Lshr => Some(BinaryOp::Lshr),
-        Op::Ashr => Some(BinaryOp::Ashr),
-        Op::Eq => Some(BinaryOp::Eq),
-        Op::Ne => Some(BinaryOp::Ne),
-        Op::Ult => Some(BinaryOp::Ult),
-        Op::Ule => Some(BinaryOp::Ule),
-        Op::Slt => Some(BinaryOp::Slt),
-        Op::Sle => Some(BinaryOp::Sle),
-        _ => None,
+#[inline(always)]
+fn is_zero(x: &[u64]) -> bool {
+    x.iter().all(|&l| l == 0)
+}
+
+/// Bit `index` of a little-endian limb vector.
+#[inline(always)]
+fn bit_of(x: &[u64], index: u32) -> bool {
+    (x[(index / 64) as usize] >> (index % 64)) & 1 == 1
+}
+
+/// The 64 bits of `x` starting at bit `pos`, zero past its end.
+#[inline(always)]
+fn bits_at(x: &[u64], pos: u64) -> u64 {
+    let limb = |k: u64| x.get(k as usize).copied().unwrap_or(0);
+    let (k, sh) = (pos / 64, pos % 64);
+    if sh == 0 {
+        limb(k)
+    } else {
+        (limb(k) >> sh) | (limb(k + 1) << (64 - sh))
     }
 }
 
-/// Wide (multi-limb) value fallback: loads operands as [`BitVec`]s and
-/// reuses the interpreter's exact operator semantics.
-fn wide_value(slots: &[Slot], i: &Instr, values: &mut [u64]) {
-    let d = slots[i.dest as usize];
-    let r = {
-        let load = |x: u32| load_bits(values, slots[x as usize]);
-        if let Some(op) = as_binary(i.op) {
-            fastpath_rtl::eval_binary(op, &load(i.a), &load(i.b))
-        } else if let Some(op) = as_unary(i.op) {
-            let a = load(i.a);
-            match op {
-                UnaryOp::Not => !&a,
-                UnaryOp::Neg => a.wrapping_neg(),
-                UnaryOp::RedAnd => a.reduce_and(),
-                UnaryOp::RedOr => a.reduce_or(),
-                UnaryOp::RedXor => a.reduce_xor(),
-            }
-        } else {
-            match i.op {
-                Op::Copy => load(i.a),
-                Op::Mux => {
-                    if load(i.a).is_true() {
-                        load(i.b)
-                    } else {
-                        load(i.c)
-                    }
-                }
-                Op::Slice => load(i.a).slice(i.imm + d.width - 1, i.imm),
-                Op::Concat => load(i.a).concat(&load(i.b)),
-                Op::Zext => load(i.a).zext(d.width),
-                Op::Sext => load(i.a).sext(d.width),
-                _ => unreachable!("covered by as_unary/as_binary"),
-            }
+/// Limb `k` of `x << amount`, unbounded (the caller masks the top).
+#[inline(always)]
+fn shifted_limb(x: &[u64], amount: u64, k: usize) -> u64 {
+    let base = 64 * k as u64;
+    if base >= amount {
+        bits_at(x, base - amount)
+    } else if amount - base < 64 {
+        x[0] << (amount - base)
+    } else {
+        0
+    }
+}
+
+/// Sets every bit of `out` from bit `from` upward (the caller masks the
+/// top).
+fn fill_from(out: &mut [u64], from: u32) {
+    for (k, o) in out.iter_mut().enumerate() {
+        let base = 64 * k as u32;
+        if base + 64 > from {
+            *o |= u64::MAX << from.saturating_sub(base);
         }
-    };
-    store_bits(values, d, &r);
+    }
 }
 
-/// Wide (multi-limb) labeled fallback: delegates to the shared taint
-/// kernels of `taint.rs`, so the compiled engine and the interpreter
-/// cannot drift apart on wide signals.
-fn wide_labeled(
-    slots: &[Slot],
-    i: &Instr,
-    values: &mut [u64],
-    taints: &mut [u64],
-    policy: FlowPolicy,
-) {
-    let d = slots[i.dest as usize];
-    let out = {
-        let lab = |x: u32| Labeled {
-            value: load_bits(values, slots[x as usize]),
-            taint: load_bits(taints, slots[x as usize]),
+/// All ones if `on`, else all zeros, at `width` bits.
+#[inline(always)]
+fn fill(out: &mut [u64], on: bool, width: u32) {
+    out.fill(if on { u64::MAX } else { 0 });
+    mask_top(out, width);
+}
+
+/// A multi-limb shift amount; any set high limb saturates it, as
+/// `try_to_u64().unwrap_or(u64::MAX)` does in the interpreter.
+#[inline(always)]
+fn shift_amount(b: &[u64]) -> u64 {
+    if is_zero(&b[1..]) {
+        b[0]
+    } else {
+        u64::MAX
+    }
+}
+
+/// `x` (`width` bits) shifted by `op` (`Shl`, `Lshr` or `Ashr`), with
+/// the `u64` kernels' saturation at `width`; `Ashr` takes the sign from
+/// `x`'s top bit.
+fn wide_shift(op: Op, x: &[u64], amount: u64, width: u32, out: &mut [u64]) {
+    let sign = op == Op::Ashr && bit_of(x, width - 1);
+    if amount >= width as u64 {
+        fill(out, sign, width);
+        return;
+    }
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = if op == Op::Shl {
+            shifted_limb(x, amount, k)
+        } else {
+            bits_at(x, amount + 64 * k as u64)
         };
-        if let Some(op) = as_binary(i.op) {
-            label_binary(policy, op, &lab(i.a), &lab(i.b))
-        } else if let Some(op) = as_unary(i.op) {
-            label_unary(policy, op, &lab(i.a))
-        } else {
-            match i.op {
-                Op::Copy => lab(i.a),
-                Op::Mux => label_mux(policy, &lab(i.a), &lab(i.b), &lab(i.c)),
-                Op::Slice => {
-                    let a = lab(i.a);
-                    let hi = i.imm + d.width - 1;
-                    Labeled {
-                        value: a.value.slice(hi, i.imm),
-                        taint: a.taint.slice(hi, i.imm),
-                    }
-                }
-                Op::Concat => {
-                    let (h, l) = (lab(i.a), lab(i.b));
-                    Labeled {
-                        value: h.value.concat(&l.value),
-                        taint: h.taint.concat(&l.taint),
-                    }
-                }
-                Op::Zext => {
-                    let a = lab(i.a);
-                    Labeled {
-                        value: a.value.zext(d.width),
-                        taint: a.taint.zext(d.width),
-                    }
-                }
-                Op::Sext => {
-                    let a = lab(i.a);
-                    Labeled {
-                        value: a.value.sext(d.width),
-                        taint: a.taint.sext(d.width),
-                    }
-                }
-                _ => unreachable!("covered by as_unary/as_binary"),
-            }
-        }
-    };
-    store_bits(values, d, &out.value);
-    store_bits(taints, d, &out.taint);
+    }
+    if sign && amount > 0 {
+        fill_from(out, width - amount as u32);
+    }
+    mask_top(out, width);
 }
 
-fn run_values(tape: &SimTape, instrs: &[Instr], values: &mut [u64]) {
+/// `x + y`, or `x - y` as `x + !y + 1`, with the carry crossing limbs.
+fn wide_add(x: &[u64], y: &[u64], subtract: bool, width: u32, out: &mut [u64]) {
+    let mut carry = subtract;
+    for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
+        let b = if subtract { !b } else { b };
+        let (s1, c1) = a.overflowing_add(b);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *o = s2;
+        carry = c1 || c2;
+    }
+    mask_top(out, width);
+}
+
+/// Truncated schoolbook product of two `width`-bit operands.
+fn wide_mul(x: &[u64], y: &[u64], width: u32, out: &mut [u64]) {
+    out.fill(0);
+    for (k, &a) in x.iter().enumerate() {
+        let mut carry = 0u128;
+        for (o, &b) in out[k..].iter_mut().zip(y) {
+            let cur = *o as u128 + (a as u128) * (b as u128) + carry;
+            *o = cur as u64;
+            carry = cur >> 64;
+        }
+    }
+    mask_top(out, width);
+}
+
+/// Multi-limb [`carry_smear`] of `x | y`: every bit from the lowest set
+/// bit upward, across limb boundaries, masked to `width`.
+fn wide_carry_smear(x: &[u64], y: &[u64], width: u32, out: &mut [u64]) {
+    let mut carrying = false;
+    for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
+        *o = if carrying {
+            u64::MAX
+        } else {
+            carry_smear(a | b, u64::MAX)
+        };
+        carrying |= (a | b) != 0;
+    }
+    mask_top(out, width);
+}
+
+/// The structural ops (`Copy`, `Slice`, `Concat`, `Zext`, `Sext`) over
+/// one arena, at any bit offset. Values and taint masks map alike under
+/// either policy: a sign-extended mask gives the replicated sign bits
+/// the sign bit's taint.
+fn wide_structural(slots: &[Slot], i: &Instr, arena: &[u64], out: &mut [u64]) {
+    let s = |x: u32| slots[x as usize];
+    let (d, sa) = (s(i.dest), s(i.a));
+    let a = limbs_of(arena, sa);
+    match i.op {
+        Op::Copy => out.copy_from_slice(a),
+        Op::Slice => {
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = bits_at(a, i.imm as u64 + 64 * k as u64);
+            }
+            mask_top(out, d.width);
+        }
+        Op::Concat => {
+            let sb = s(i.b);
+            let low = limbs_of(arena, sb);
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = low.get(k).copied().unwrap_or(0) | shifted_limb(a, sb.width as u64, k);
+            }
+        }
+        Op::Zext | Op::Sext => {
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = a.get(k).copied().unwrap_or(0);
+            }
+            if i.op == Op::Sext && d.width > sa.width && bit_of(a, sa.width - 1) {
+                fill_from(out, sa.width);
+            }
+            mask_top(out, d.width);
+        }
+        _ => unreachable!("{:?} is not structural", i.op),
+    }
+}
+
+/// The multi-limb value kernel: [`small_value`]'s rules limb by limb, for
+/// operands of any limb count. Writes every limb of `out` (the
+/// destination's size), masked to the destination width.
+fn wide_value(slots: &[Slot], i: &Instr, v: &[u64], out: &mut [u64]) {
+    let s = |x: u32| slots[x as usize];
+    let val = |x: u32| limbs_of(v, s(x));
+    let dw = s(i.dest).width;
+    match i.op {
+        Op::Copy | Op::Slice | Op::Concat | Op::Zext | Op::Sext => {
+            wide_structural(slots, i, v, out)
+        }
+        Op::Not => {
+            for (o, &x) in out.iter_mut().zip(val(i.a)) {
+                *o = !x;
+            }
+            mask_top(out, dw);
+        }
+        Op::Neg => {
+            let mut carry = true;
+            for (o, &x) in out.iter_mut().zip(val(i.a)) {
+                let (r, c) = (!x).overflowing_add(carry as u64);
+                *o = r;
+                carry = c;
+            }
+            mask_top(out, dw);
+        }
+        Op::RedAnd => {
+            let (top, rest) = val(i.a).split_last().expect("width > 0");
+            let ones = rest.iter().all(|&l| l == u64::MAX) && *top == top_mask(s(i.a).width);
+            out[0] = ones as u64;
+        }
+        Op::RedOr => out[0] = !is_zero(val(i.a)) as u64,
+        Op::RedXor => {
+            let ones: u32 = val(i.a).iter().map(|l| l.count_ones()).sum();
+            out[0] = (ones & 1) as u64;
+        }
+        Op::And | Op::Or | Op::Xor => {
+            for ((o, &a), &b) in out.iter_mut().zip(val(i.a)).zip(val(i.b)) {
+                *o = match i.op {
+                    Op::And => a & b,
+                    Op::Or => a | b,
+                    _ => a ^ b,
+                };
+            }
+        }
+        Op::Add | Op::Sub => wide_add(val(i.a), val(i.b), i.op == Op::Sub, dw, out),
+        Op::Mul => wide_mul(val(i.a), val(i.b), dw, out),
+        Op::Shl | Op::Lshr | Op::Ashr => {
+            wide_shift(i.op, val(i.a), shift_amount(val(i.b)), dw, out)
+        }
+        Op::Eq => out[0] = (val(i.a) == val(i.b)) as u64,
+        Op::Ne => out[0] = (val(i.a) != val(i.b)) as u64,
+        Op::Ult | Op::Ule | Op::Slt | Op::Sle => {
+            let (a, b) = (val(i.a), val(i.b));
+            let sign = s(i.a).width - 1;
+            let signed = matches!(i.op, Op::Slt | Op::Sle);
+            // Signed: a set sign bit orders below a clear one.
+            let ord = match (signed, bit_of(a, sign), bit_of(b, sign)) {
+                (true, true, false) => Ordering::Less,
+                (true, false, true) => Ordering::Greater,
+                _ => a.iter().rev().cmp(b.iter().rev()),
+            };
+            out[0] = match i.op {
+                Op::Ult | Op::Slt => ord.is_lt(),
+                _ => ord.is_le(),
+            } as u64;
+        }
+        Op::Mux => {
+            let pick = if val(i.a)[0] != 0 { i.b } else { i.c };
+            out.copy_from_slice(val(pick));
+        }
+    }
+}
+
+/// The multi-limb taint kernel under [`FlowPolicy::Precise`]:
+/// [`small_taint_precise`]'s rules limb by limb. Reads the
+/// *pre-instruction* operand values.
+fn wide_taint_precise(slots: &[Slot], i: &Instr, v: &[u64], t: &[u64], out: &mut [u64]) {
+    let s = |x: u32| slots[x as usize];
+    let val = |x: u32| limbs_of(v, s(x));
+    let tnt = |x: u32| limbs_of(t, s(x));
+    let dw = s(i.dest).width;
+    match i.op {
+        Op::Copy | Op::Slice | Op::Concat | Op::Zext | Op::Sext => {
+            wide_structural(slots, i, t, out)
+        }
+        Op::Not => out.copy_from_slice(tnt(i.a)),
+        Op::Neg => wide_carry_smear(tnt(i.a), tnt(i.a), dw, out),
+        Op::RedAnd => {
+            let (ta, va) = (tnt(i.a), val(i.a));
+            let (last, top) = (ta.len() - 1, top_mask(s(i.a).width));
+            // A definite (untainted) 0 bit forces the result to 0.
+            let forced_zero = ta.iter().zip(va).enumerate().any(|(k, (&t, &v))| {
+                let m = if k == last { top } else { u64::MAX };
+                (!t & !v & m) != 0
+            });
+            out[0] = (!forced_zero && !is_zero(ta)) as u64;
+        }
+        Op::RedOr => {
+            let (ta, va) = (tnt(i.a), val(i.a));
+            // A definite 1 bit forces the result to 1.
+            let forced_one = ta.iter().zip(va).any(|(&t, &v)| (!t & v) != 0);
+            out[0] = (!forced_one && !is_zero(ta)) as u64;
+        }
+        Op::RedXor => out[0] = !is_zero(tnt(i.a)) as u64,
+        Op::And => {
+            let (ta, tb, va, vb) = (tnt(i.a), tnt(i.b), val(i.a), val(i.b));
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = (ta[k] & tb[k]) | (ta[k] & vb[k]) | (tb[k] & va[k]);
+            }
+        }
+        Op::Or => {
+            let (ta, tb, va, vb) = (tnt(i.a), tnt(i.b), val(i.a), val(i.b));
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = (ta[k] & tb[k]) | (ta[k] & !vb[k]) | (tb[k] & !va[k]);
+            }
+        }
+        Op::Xor => {
+            for ((o, &a), &b) in out.iter_mut().zip(tnt(i.a)).zip(tnt(i.b)) {
+                *o = a | b;
+            }
+        }
+        Op::Add | Op::Sub => wide_carry_smear(tnt(i.a), tnt(i.b), dw, out),
+        Op::Mul => {
+            let (ta, tb) = (tnt(i.a), tnt(i.b));
+            let untainted = is_zero(ta) && is_zero(tb);
+            // Multiplication by a definite zero yields a definite zero.
+            let definite_zero =
+                (is_zero(ta) && is_zero(val(i.a))) || (is_zero(tb) && is_zero(val(i.b)));
+            if untainted || definite_zero {
+                out.fill(0);
+            } else {
+                wide_carry_smear(ta, tb, dw, out);
+            }
+        }
+        Op::Shl | Op::Lshr | Op::Ashr => {
+            let ta = tnt(i.a);
+            if !is_zero(tnt(i.b)) {
+                // Taint-steered shift amount: unless the shifted value is
+                // a definite zero, the whole result is tainted.
+                fill(out, !(is_zero(ta) && is_zero(val(i.a))), dw);
+            } else {
+                wide_shift(i.op, ta, shift_amount(val(i.b)), dw, out);
+            }
+        }
+        Op::Eq | Op::Ne => {
+            let (ta, tb, va, vb) = (tnt(i.a), tnt(i.b), val(i.a), val(i.b));
+            // An untainted differing bit position fixes the outcome.
+            let determined = (0..ta.len()).any(|k| (!ta[k] & !tb[k] & (va[k] ^ vb[k])) != 0);
+            let tainted = !(is_zero(ta) && is_zero(tb));
+            out[0] = (tainted && !determined) as u64;
+        }
+        Op::Ult | Op::Ule | Op::Slt | Op::Sle => {
+            out[0] = !(is_zero(tnt(i.a)) && is_zero(tnt(i.b))) as u64;
+        }
+        Op::Mux => {
+            let (tb, tc) = (tnt(i.b), tnt(i.c));
+            if tnt(i.a)[0] == 0 {
+                out.copy_from_slice(if val(i.a)[0] != 0 { tb } else { tc });
+            } else {
+                // Tainted selector: a bit leaks iff the branches differ.
+                let (vb, vc) = (val(i.b), val(i.c));
+                for (k, o) in out.iter_mut().enumerate() {
+                    *o = tb[k] | tc[k] | (vb[k] ^ vc[k]);
+                }
+            }
+        }
+    }
+}
+
+/// The multi-limb taint kernel under [`FlowPolicy::Conservative`]: any
+/// tainted operand of a logic/arith/mux op taints the whole result;
+/// structural ops map taint structurally.
+fn wide_taint_conservative(slots: &[Slot], i: &Instr, t: &[u64], out: &mut [u64]) {
+    let s = |x: u32| slots[x as usize];
+    let tainted = |x: u32| !is_zero(limbs_of(t, s(x)));
+    let dw = s(i.dest).width;
+    match i.op {
+        Op::Copy | Op::Slice | Op::Concat | Op::Zext | Op::Sext => {
+            wide_structural(slots, i, t, out)
+        }
+        Op::Not | Op::Neg | Op::RedAnd | Op::RedOr | Op::RedXor => fill(out, tainted(i.a), dw),
+        Op::Mux => fill(out, tainted(i.a) || tainted(i.b) || tainted(i.c), dw),
+        // All binary operators.
+        _ => fill(out, tainted(i.a) || tainted(i.b), dw),
+    }
+}
+
+fn run_values(tape: &SimTape, instrs: &[Instr], values: &mut [u64], scratch: &mut [u64]) {
     for i in instrs {
         if i.small {
             let r = small_value(&tape.slots, i, values);
             values[tape.slots[i.dest as usize].offset as usize] = r;
         } else {
-            wide_value(&tape.slots, i, values);
+            let d = tape.slots[i.dest as usize];
+            let out = &mut scratch[..d.limbs as usize];
+            wide_value(&tape.slots, i, values, out);
+            values[d.offset as usize..][..d.limbs as usize].copy_from_slice(out);
         }
     }
 }
 
+/// `scratch` holds `2 * tape.max_limbs` limbs: the value half, then the
+/// taint half.
 fn run_labeled(
     tape: &SimTape,
     instrs: &[Instr],
     values: &mut [u64],
     taints: &mut [u64],
+    scratch: &mut [u64],
     policy: FlowPolicy,
     declassified: &[bool],
 ) {
+    let (val_out, tnt_out) = scratch.split_at_mut(tape.max_limbs);
     for i in instrs {
         if i.small {
             let val = small_value(&tape.slots, i, values);
@@ -669,7 +921,16 @@ fn run_labeled(
             values[off] = val;
             taints[off] = tnt;
         } else {
-            wide_labeled(&tape.slots, i, values, taints, policy);
+            let d = tape.slots[i.dest as usize];
+            let n = d.limbs as usize;
+            let (val, tnt) = (&mut val_out[..n], &mut tnt_out[..n]);
+            wide_value(&tape.slots, i, values, val);
+            match policy {
+                FlowPolicy::Precise => wide_taint_precise(&tape.slots, i, values, taints, tnt),
+                FlowPolicy::Conservative => wide_taint_conservative(&tape.slots, i, taints, tnt),
+            }
+            values[d.offset as usize..][..n].copy_from_slice(val);
+            taints[d.offset as usize..][..n].copy_from_slice(tnt);
         }
         // Declassification clears the taint of a signal slot as it is
         // committed, exactly like the interpreter (only signal slots are
@@ -712,6 +973,8 @@ pub struct CompiledSim<'m> {
     module: &'m Module,
     tape: Arc<SimTape>,
     values: Vec<u64>,
+    /// Staging for the multi-limb kernels' results (`max_limbs` limbs).
+    scratch: Vec<u64>,
     cycle: u64,
 }
 
@@ -734,10 +997,12 @@ impl<'m> CompiledSim<'m> {
             "tape was compiled from a different module"
         );
         let values = tape.init.clone();
+        let scratch = vec![0u64; tape.max_limbs];
         CompiledSim {
             module,
             tape,
             values,
+            scratch,
             cycle: 0,
         }
     }
@@ -836,14 +1101,14 @@ impl<'m> CompiledSim<'m> {
     /// register values.
     pub fn settle(&mut self) {
         let tape = Arc::clone(&self.tape);
-        run_values(&tape, &tape.settle, &mut self.values);
+        run_values(&tape, &tape.settle, &mut self.values, &mut self.scratch);
     }
 
     /// Commits all registers to their next-state values (a clock edge).
     /// Assumes [`settle`](Self::settle) ran for the current input values.
     pub fn clock(&mut self) {
         let tape = Arc::clone(&self.tape);
-        run_values(&tape, &tape.clock, &mut self.values);
+        run_values(&tape, &tape.clock, &mut self.values, &mut self.scratch);
         self.cycle += 1;
     }
 
@@ -863,6 +1128,9 @@ pub struct CompiledTaintSim<'m> {
     tape: Arc<SimTape>,
     values: Vec<u64>,
     taints: Vec<u64>,
+    /// Staging for the multi-limb kernels' results: `max_limbs` value
+    /// limbs, then `max_limbs` taint limbs.
+    scratch: Vec<u64>,
     policy: FlowPolicy,
     /// Per-slot declassification flags (only signal slots are ever set).
     declassified: Vec<bool>,
@@ -891,12 +1159,14 @@ impl<'m> CompiledTaintSim<'m> {
         );
         let values = tape.init.clone();
         let taints = vec![0u64; tape.init.len()];
+        let scratch = vec![0u64; 2 * tape.max_limbs];
         let declassified = vec![false; tape.slots.len()];
         CompiledTaintSim {
             module,
             tape,
             values,
             taints,
+            scratch,
             policy,
             declassified,
             declassified_ids: Vec::new(),
@@ -1028,10 +1298,7 @@ impl<'m> CompiledTaintSim<'m> {
 
     /// `true` iff any bit of the signal is tainted (allocation-free).
     pub fn is_tainted(&self, id: SignalId) -> bool {
-        let slot = self.tape.slot_of(id);
-        self.taints[slot.offset as usize..][..slot.limbs as usize]
-            .iter()
-            .any(|&l| l != 0)
+        !is_zero(limbs_of(&self.taints, self.tape.slot_of(id)))
     }
 
     /// All currently tainted signals.
@@ -1061,6 +1328,7 @@ impl<'m> CompiledTaintSim<'m> {
             &tape.settle,
             &mut self.values,
             &mut self.taints,
+            &mut self.scratch,
             self.policy,
             &self.declassified,
         );
@@ -1075,6 +1343,7 @@ impl<'m> CompiledTaintSim<'m> {
             &tape.clock,
             &mut self.values,
             &mut self.taints,
+            &mut self.scratch,
             self.policy,
             &self.declassified,
         );
@@ -1262,5 +1531,28 @@ mod tests {
         assert_eq!(carry_smear(0, u64::MAX), 0);
         assert_eq!(carry_smear(0b100, 0xFF), 0xFC);
         assert_eq!(carry_smear(1 << 63, u64::MAX), 1 << 63);
+    }
+
+    #[test]
+    fn multi_limb_helpers_cross_limb_boundaries() {
+        let x = [0x8000_0000_0000_0001, 0x3];
+        assert_eq!(bits_at(&x, 63), 0b111);
+        assert_eq!(bits_at(&x, 64), 0x3);
+        assert_eq!(bits_at(&x, 200), 0);
+        assert_eq!(shifted_limb(&x, 1, 0), 0x2);
+        assert_eq!(shifted_limb(&x, 1, 1), 0x7);
+        assert_eq!(shifted_limb(&x, 130, 2), 0x4);
+        assert_eq!(shifted_limb(&x, 130, 1), 0);
+        let mut out = [0u64; 3];
+        fill_from(&mut out, 70);
+        assert_eq!(out, [0, u64::MAX << 6, u64::MAX]);
+        assert_eq!(shift_amount(&[5, 0, 0]), 5);
+        assert_eq!(shift_amount(&[5, 0, 1]), u64::MAX);
+        // A taint at bit 63 smears through the next limb, clipped at 70.
+        wide_carry_smear(&[1 << 63, 0], &[0, 0], 70, &mut out[..2]);
+        assert_eq!(out[..2], [1 << 63, 0x3F]);
+        // 2^64 - 1 times 2^64 - 1, truncated to 130 bits.
+        wide_mul(&[u64::MAX, 0, 0], &[u64::MAX, 0, 0], 130, &mut out);
+        assert_eq!(out, [1, u64::MAX - 1, 0]);
     }
 }

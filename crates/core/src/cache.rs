@@ -94,7 +94,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that missed — absent, corrupt, or failed re-validation.
     pub misses: u64,
-    /// Bytes held by the backend when the run finished.
+    /// Bytes held by the backend when the run finished. Read through
+    /// [`ProofCache::usage`], which the service's disk store answers from
+    /// its byte ledger, so filling it costs the same whatever the size of
+    /// the store.
     pub bytes: u64,
     /// Entries the backend evicted over its lifetime.
     pub evictions: u64,
@@ -123,7 +126,10 @@ pub trait ProofCache: fmt::Debug + Send + Sync {
     fn load(&self, kind: CacheKind, key: &Digest) -> Option<String>;
     /// Stores (or overwrites) the entry under `key`.
     fn store(&self, kind: CacheKind, key: &Digest, entry: &str);
-    /// Current occupancy of the backend.
+    /// Current occupancy of the backend. Every flow run calls this once
+    /// at its end, so it must not grow with the backend's history: the
+    /// service's disk store reads two counter files, and costs the same
+    /// whatever the number of entries it holds.
     fn usage(&self) -> CacheUsage {
         CacheUsage::default()
     }

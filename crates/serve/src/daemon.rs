@@ -117,15 +117,26 @@ pub fn serve(opts: &ServeOptions) -> io::Result<ServeSummary> {
                 }
             })
             .collect();
+        // Every result of the batch is already computed: write them all,
+        // and report the first write that failed only once the batch is
+        // done. A failed job's claim stays in `work/`.
+        let mut failed = None;
         for (path, result) in fastpath::parallel::run_ordered(opts.jobs, tasks) {
-            spool.finish(&path, &result)?;
-            summary.processed += 1;
+            match spool.finish(&path, &result) {
+                Ok(()) => summary.processed += 1,
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
         }
         // Persist the batch's published clauses and reload, so the next
         // batch's base snapshot includes them — cross-job reuse advances
         // one batch at a time, deterministically.
         if clauses.pending_clauses() > 0 && clauses.save().is_ok() {
             clauses = Arc::new(ClauseStore::open(&clause_path));
+        }
+        if let Some(e) = failed {
+            return Err(e);
         }
         if opts.once {
             break;
@@ -295,5 +306,54 @@ fn merge_verdicts<'v>(verdicts: impl Iterator<Item = &'v Verdict>) -> Verdict {
         constraints.sort();
         constraints.dedup();
         Verdict::ConstrainedDataOblivious(constraints)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::Spool;
+    use std::fs;
+
+    #[test]
+    fn a_failed_result_write_still_finishes_the_batch() {
+        let root = std::env::temp_dir().join(format!("fastpath-batch-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let spool = Spool::open(root.join("queue")).expect("open");
+        // An unknown study answers at once with an error result.
+        let ids: Vec<String> = ["first", "second"]
+            .iter()
+            .map(|name| {
+                let job = Job {
+                    name: name.to_string(),
+                    mode: JobMode::Full,
+                    cycles: None,
+                    seed: None,
+                    source: JobSource::Study(format!("no such study {name}")),
+                };
+                spool.submit(&job).expect("submit")
+            })
+            .collect();
+        // A directory where the first result's temporary file goes makes
+        // that one write fail.
+        fs::create_dir(root.join("queue/done").join(format!(".{}.tmp", ids[0]))).expect("plant");
+        let opts = ServeOptions {
+            root: root.clone(),
+            once: true,
+            ..ServeOptions::default()
+        };
+        assert!(serve(&opts).is_err(), "--once must still fail");
+        assert!(spool.result(&ids[0]).is_none());
+        let second = spool.result(&ids[1]).expect("second job answered");
+        assert!(second.contains("error unknown case study"), "{second}");
+        let (inbox, work, done) = spool.status();
+        assert!(inbox.is_empty());
+        assert_eq!(
+            work,
+            vec![ids[0].clone()],
+            "the failed claim stays in work/"
+        );
+        assert_eq!(done, vec![ids[1].clone()]);
+        let _ = fs::remove_dir_all(&root);
     }
 }

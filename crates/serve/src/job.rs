@@ -5,7 +5,8 @@
 //! `queue/work/` (so concurrent daemons never double-process), and writes
 //! the finished result into `queue/done/`. No sockets, no wire protocol to
 //! version beyond these two text formats — and a crashed daemon leaves its
-//! claims visible in `work/` for inspection.
+//! claims visible in `work/` for inspection. Sequence numbers come from
+//! the locked counter file `queue/seq`.
 
 use fastpath::{CacheStats, Verdict};
 use fastpath_rtl::{Digest, StableHasher};
@@ -13,6 +14,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::counter::update_counter;
 use crate::store::name_key;
 
 const JOB_MAGIC: &str = "fastpathd job 1";
@@ -267,11 +269,35 @@ impl Spool {
     /// (`<seq>-<content hash prefix>`). Sequence numbers make ids unique
     /// across resubmissions of an identical design — exactly the warm
     /// cache case — while keeping processing order deterministic.
+    ///
+    /// The sequence number is taken from the counter file `seq` under an
+    /// exclusive lock, so concurrent submitters, in one process or many,
+    /// always get distinct ids, and a submit costs the same however many
+    /// jobs the spool holds. Only a missing or unreadable counter, as in a
+    /// spool written before it existed, is seeded by listing the spool.
     pub fn submit(&self, job: &Job) -> io::Result<String> {
         let text = encode_job(job);
         let mut h = StableHasher::new(0x6670_6a62); // "fpjb"
         h.write_bytes(text.as_bytes());
-        let seq = ["inbox", "work", "done"]
+        let seq = update_counter(
+            &self.root.join("seq"),
+            || self.highest_seq(),
+            |seq| {
+                *seq += 1;
+                *seq
+            },
+        )?;
+        let id = format!("{seq:06}-{}", &h.finish().to_hex()[..8]);
+        let path = self.dir("inbox").join(format!("{id}.job"));
+        let tmp = self.dir("inbox").join(format!(".{id}.tmp"));
+        fs::write(&tmp, &text)?;
+        fs::rename(&tmp, &path)?;
+        Ok(id)
+    }
+
+    /// The highest sequence number of any job in the spool, 0 if none.
+    fn highest_seq(&self) -> u64 {
+        ["inbox", "work", "done"]
             .iter()
             .flat_map(|sub| self.listing(sub))
             .filter_map(|p| {
@@ -280,13 +306,6 @@ impl Spool {
             })
             .max()
             .unwrap_or(0)
-            + 1;
-        let id = format!("{seq:06}-{}", &h.finish().to_hex()[..8]);
-        let path = self.dir("inbox").join(format!("{id}.job"));
-        let tmp = self.dir("inbox").join(format!(".{id}.tmp"));
-        fs::write(&tmp, &text)?;
-        fs::rename(&tmp, &path)?;
-        Ok(id)
     }
 
     /// Jobs waiting in the inbox, oldest sequence first.
@@ -417,6 +436,78 @@ mod tests {
         assert!(work.is_empty());
         assert_eq!(done, vec![id1.clone()]);
         assert_eq!(spool.result(&id1).as_deref(), Some("result\n"));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    fn study_job(name: &str) -> Job {
+        Job {
+            name: name.into(),
+            mode: JobMode::Full,
+            cycles: None,
+            seed: None,
+            source: JobSource::Study(name.into()),
+        }
+    }
+
+    fn seq_of(id: &str) -> u64 {
+        id.split('-')
+            .next()
+            .and_then(|s| s.parse().ok())
+            .expect("seq")
+    }
+
+    #[test]
+    fn concurrent_submitters_get_distinct_ids() {
+        let root = std::env::temp_dir().join(format!("fastpath-spool-mt-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let spool = Spool::open(&root).expect("open");
+        let job = study_job("dut");
+        // Identical jobs hash alike, so only the sequence number tells
+        // their ids apart. The barrier starts all four submitters at once.
+        let start = std::sync::Barrier::new(4);
+        let mut ids: Vec<String> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..50)
+                            .map(|_| spool.submit(&job).expect("submit"))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("submitter"))
+                .collect()
+        });
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), 200, "every submission gets its own id");
+        assert_eq!(spool.pending().len(), 200, "no job replaced another");
+        let seqs: Vec<u64> = ids.iter().map(|id| seq_of(id)).collect();
+        assert_eq!(seqs, (1..=200).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_spool_without_a_counter_continues_after_its_highest_job() {
+        let root = std::env::temp_dir().join(format!("fastpath-spool-seed-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let spool = Spool::open(&root).expect("open");
+        fs::write(root.join("done/000007-0123abcd.result"), "result\n").expect("plant");
+        assert!(!root.join("seq").exists());
+        let id = spool.submit(&study_job("dut")).expect("submit");
+        assert_eq!(seq_of(&id), 8, "{id}");
+        // From here on the counter answers; the listing is not consulted.
+        fs::remove_file(root.join("done/000007-0123abcd.result")).expect("remove");
+        assert_eq!(seq_of(&spool.submit(&study_job("dut")).expect("submit")), 9);
+        // A garbled counter is seeded from the spool again.
+        fs::write(root.join("seq"), "x\n").expect("garble");
+        assert_eq!(
+            seq_of(&spool.submit(&study_job("dut")).expect("submit")),
+            10
+        );
         let _ = fs::remove_dir_all(&root);
     }
 }

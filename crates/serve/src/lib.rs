@@ -12,10 +12,12 @@
 //!   core [`fastpath::ProofCache`] for solver-level memoization
 //!   (`checks/`, `sims/`) and adds service-level records: per-cone
 //!   verdicts keyed by canonical cone hash (`cones/`) and per-design cone
-//!   manifests (`modules/`). Plus an oldest-first GC to a byte budget.
+//!   manifests (`modules/`). Plus an oldest-first GC to a byte budget,
+//!   and a byte ledger that reports the store's size without listing it.
 //! - [`job`] — the wire formats and the `inbox/` → `work/` → `done/`
 //!   directory spool. The transport is atomic renames; there is no
-//!   socket protocol to keep deterministic.
+//!   socket protocol to keep deterministic. Job ids come from a locked
+//!   sequence counter, so submitting never lists the spool.
 //! - [`daemon`] — the serve loop and the verification modes: `full` (one
 //!   flow run, constraint vocabulary intact) and `cones` (per-control-
 //!   output decomposition, the incremental-revision path).
@@ -27,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod counter;
 pub mod daemon;
 pub mod job;
 pub mod store;

@@ -1,8 +1,8 @@
 //! Content-addressed on-disk artifact store.
 //!
 //! The store is a plain directory tree addressed by [`Digest`] hex names —
-//! no database, no index files, so concurrent readers and a single writer
-//! per key compose with nothing more than atomic renames:
+//! no database, no index files, so concurrent readers and writers compose
+//! with nothing more than atomic renames and two locked counter files:
 //!
 //! ```text
 //! store/
@@ -12,8 +12,15 @@
 //!                        strengthened-check proofs, keyed like checks
 //!   cones/<digest>       per-cone flow verdicts, keyed by canonical cone hash
 //!   modules/<digest>     cone manifests, keyed by the *design name* digest
+//!   bytes                byte ledger: total size of the namespace entries
 //!   evictions            cumulative GC eviction counter
 //! ```
+//!
+//! The byte ledger is what [`ProofCache::usage`] reports, so the size of
+//! the store is known without listing it. Every entry write adjusts the
+//! ledger under its lock; [`DiskStore::open`] re-inventories a ledger that
+//! is missing or unreadable, and [`DiskStore::gc`] sets it back to the
+//! exact total it sweeps.
 //!
 //! `checks/`, `sims/` and `invariants/` implement [`ProofCache`], so the same store that
 //! backs the daemon's cone decomposition also memoizes individual solver
@@ -29,6 +36,8 @@ use fastpath_rtl::{Digest, StableHasher};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use crate::counter::update_counter;
 
 /// Domain tag for service-level record checksums ("fpsv").
 const TAG_STORE_SUM: u64 = 0x66707376;
@@ -71,13 +80,18 @@ pub struct GcStats {
 }
 
 impl DiskStore {
-    /// Opens (creating if necessary) a store rooted at `root`.
+    /// Opens (creating if necessary) a store rooted at `root`. A byte
+    /// ledger that is missing or unreadable, as in a store written before
+    /// the ledger existed, is rebuilt from a full inventory here; a valid
+    /// one is only read.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<DiskStore> {
         let root = root.into();
         for ns in NAMESPACES {
             fs::create_dir_all(root.join(ns))?;
         }
-        Ok(DiskStore { root })
+        let store = DiskStore { root };
+        let _ = store.ledger(|_| ());
+        Ok(store)
     }
 
     /// The store's root directory.
@@ -89,13 +103,36 @@ impl DiskStore {
         self.root.join(namespace).join(key.to_hex())
     }
 
+    /// Runs `update` on the byte ledger under its lock, rebuilding a
+    /// missing or unreadable ledger from a full inventory first.
+    fn ledger<R>(&self, update: impl FnOnce(&mut u64) -> R) -> io::Result<R> {
+        update_counter(&self.root.join("bytes"), || self.inventory_bytes(), update)
+    }
+
     /// Atomically writes `text` under `namespace/<key>`: a rename makes
     /// the entry appear complete or not at all, never truncated.
+    ///
+    /// The write and the rename happen under the ledger's lock, which then
+    /// moves by the new size minus the size of the entry replaced. So no
+    /// half-written temporary file is ever counted by a ledger rebuild or
+    /// a [`gc`](Self::gc) sweep. The store is a performance layer: when the
+    /// ledger cannot be locked, the entry is written all the same.
     fn write_entry(&self, namespace: &str, key: &Digest, text: &str) {
         let path = self.entry_path(namespace, key);
-        let tmp = path.with_extension("tmp");
-        if fs::write(&tmp, text).is_ok() {
-            let _ = fs::rename(&tmp, &path);
+        let write = || {
+            let tmp = path.with_extension("tmp");
+            fs::write(&tmp, text).is_ok() && fs::rename(&tmp, &path).is_ok()
+        };
+        let mut attempted = false;
+        let _ = self.ledger(|bytes| {
+            attempted = true;
+            let old = fs::metadata(&path).map_or(0, |meta| meta.len());
+            if write() {
+                *bytes = bytes.saturating_sub(old) + text.len() as u64;
+            }
+        });
+        if !attempted {
+            write();
         }
     }
 
@@ -145,13 +182,45 @@ impl DiskStore {
         entries
     }
 
+    /// Total size of every entry, by a full inventory.
+    fn inventory_bytes(&self) -> u64 {
+        self.inventory().iter().map(|(_, len, _)| len).sum()
+    }
+
     /// Deletes oldest-written entries until the store fits `max_bytes`.
     ///
     /// Eviction order is write-time (FIFO), not access-time: reads never
     /// touch entry metadata, which keeps warm lookups pure and the sweep
-    /// deterministic. The cumulative eviction count is persisted so
+    /// deterministic. The sweep holds the byte ledger's lock and writes
+    /// back the exact total that remains, so a ledger that drifted (an
+    /// entry deleted by hand, a write that could not update it) is correct
+    /// again afterwards. The cumulative eviction count is persisted so
     /// [`CacheUsage::evictions`] survives daemon restarts.
     pub fn gc(&self, max_bytes: u64) -> GcStats {
+        let mut swept = None;
+        // The sweep sets the ledger outright, so a missing one needs no
+        // inventory of its own first.
+        let _ = update_counter(
+            &self.root.join("bytes"),
+            || 0,
+            |bytes| {
+                let stats = self.sweep(max_bytes);
+                *bytes = stats.bytes_after;
+                swept = Some(stats);
+            },
+        );
+        let stats = swept.unwrap_or_else(|| self.sweep(max_bytes));
+        if stats.evicted > 0 {
+            let _ = update_counter(
+                &self.root.join("evictions"),
+                || 0,
+                |total| *total += stats.evicted,
+            );
+        }
+        stats
+    }
+
+    fn sweep(&self, max_bytes: u64) -> GcStats {
         let inventory = self.inventory();
         let mut stats = GcStats {
             examined: inventory.len() as u64,
@@ -169,18 +238,7 @@ impl DiskStore {
             }
         }
         stats.bytes_after = remaining;
-        if stats.evicted > 0 {
-            let total = self.eviction_count() + stats.evicted;
-            let _ = fs::write(self.root.join("evictions"), format!("{total}\n"));
-        }
         stats
-    }
-
-    fn eviction_count(&self) -> u64 {
-        fs::read_to_string(self.root.join("evictions"))
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0)
     }
 }
 
@@ -193,10 +251,15 @@ impl ProofCache for DiskStore {
         self.write_entry(kind.as_str(), key, entry);
     }
 
+    /// Reads the byte ledger and the eviction counter: two small files,
+    /// whatever the number of entries.
     fn usage(&self) -> CacheUsage {
         CacheUsage {
-            bytes: self.inventory().iter().map(|(_, len, _)| len).sum(),
-            evictions: self.eviction_count(),
+            bytes: self
+                .ledger(|bytes| *bytes)
+                .unwrap_or_else(|_| self.inventory_bytes()),
+            evictions: update_counter(&self.root.join("evictions"), || 0, |total| *total)
+                .unwrap_or(0),
         }
     }
 }
@@ -353,23 +416,76 @@ mod tests {
     #[test]
     fn gc_evicts_oldest_first_to_budget() {
         let store = DiskStore::open(tmp_dir("gc")).expect("open");
-        // Three 100-byte proof-cache entries with strictly ordered mtimes.
-        for (i, name) in ["a", "b", "c"].iter().enumerate() {
-            store.store(CacheKind::Check, &name_key(name), &"x".repeat(100));
+        // Three 100-byte proof-cache entries with strictly ordered mtimes;
+        // the newest is then overwritten by a 60-byte one.
+        for (i, (name, len)) in [("a", 100), ("b", 100), ("c", 100), ("c", 60)]
+            .into_iter()
+            .enumerate()
+        {
+            store.store(CacheKind::Check, &name_key(name), &"x".repeat(len));
             let path = store.entry_path("checks", &name_key(name));
             let t = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1000 + i as u64);
             let f = fs::File::options().write(true).open(path).expect("open");
             f.set_modified(t).expect("set mtime");
         }
+        assert_eq!(store.usage().bytes, 260, "the ledger follows the overwrite");
         let stats = store.gc(150);
         assert_eq!(stats.examined, 3);
         assert_eq!(stats.evicted, 2);
-        assert_eq!(stats.bytes_after, 100);
+        assert_eq!(stats.bytes_before, 260);
+        assert_eq!(stats.bytes_after, 60);
         // Oldest two gone, newest survives; the counter persists.
         assert!(store.load(CacheKind::Check, &name_key("a")).is_none());
         assert!(store.load(CacheKind::Check, &name_key("b")).is_none());
         assert!(store.load(CacheKind::Check, &name_key("c")).is_some());
         assert_eq!(store.usage().evictions, 2);
+        // After a reopen the ledger still equals a full inventory.
+        let store = DiskStore::open(store.root()).expect("reopen");
+        assert_eq!(store.usage().bytes, 60);
+        assert_eq!(store.usage().bytes, store.gc(u64::MAX).bytes_before);
+        assert_eq!(store.usage().evictions, 2);
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn a_lost_or_garbled_ledger_is_inventoried_on_open() {
+        let root = tmp_dir("ledger");
+        let store = DiskStore::open(&root).expect("open");
+        store.store(CacheKind::Sim, &name_key("a"), &"x".repeat(70));
+        store.store_cone(
+            &name_key("b"),
+            &ConeVerdict {
+                verdict: Verdict::DataOblivious,
+                inspections: 0,
+                checks: 1,
+            },
+        );
+        let total = store.usage().bytes;
+        assert!(total > 70, "{total}");
+        assert_eq!(total, store.gc(u64::MAX).bytes_before);
+        for garbage in [None, Some("lots\n"), Some("")] {
+            match garbage {
+                None => fs::remove_file(root.join("bytes")).expect("delete ledger"),
+                Some(text) => fs::write(root.join("bytes"), text).expect("garble ledger"),
+            }
+            let store = DiskStore::open(&root).expect("reopen");
+            assert_eq!(
+                fs::read_to_string(root.join("bytes")).expect("ledger"),
+                format!("{total}\n")
+            );
+            assert_eq!(store.usage().bytes, total, "not restarted at 0");
+        }
+        // A ledger that cannot be opened at all costs no entry: the write
+        // goes ahead, and the size falls back to an inventory.
+        fs::remove_file(root.join("bytes")).expect("delete ledger");
+        fs::create_dir(root.join("bytes")).expect("block ledger");
+        let store = DiskStore::open(&root).expect("reopen");
+        store.store(CacheKind::Check, &name_key("c"), &"x".repeat(30));
+        assert_eq!(
+            store.load(CacheKind::Check, &name_key("c")).as_deref(),
+            Some("x".repeat(30).as_str())
+        );
+        assert_eq!(store.usage().bytes, total + 30);
+        let _ = fs::remove_dir_all(&root);
     }
 }

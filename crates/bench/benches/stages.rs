@@ -5,7 +5,6 @@
 //! symbolic initial state.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fastpath::{run_ift_batch, BatchOptions};
 use fastpath_bench::{run_table1, Table1Options};
 use fastpath_formal::{ElaborationMode, Upec2Safety, UpecEncoding, UpecSpec};
 use fastpath_hfg::{extract_hfg, PathQuery};
@@ -45,11 +44,10 @@ fn bench_ift_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Interpreter vs compiled tape vs compiled+batched, head to head on the
-/// two IFT-heaviest Table I designs. `interp` and `compiled` run one
-/// 200-cycle testbench through `IftSimulation` (the compiled case reuses
-/// a pre-built tape, as the flow driver does); `compiled_batched/jobs_N`
-/// runs 8 seeds through `run_ift_batch` on N workers.
+/// Interpreter vs compiled tape, head to head on the two IFT-heaviest
+/// Table I designs: each runs one 200-cycle testbench through
+/// `IftSimulation` (the compiled case reuses a pre-built tape, as the
+/// flow driver does).
 fn bench_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim");
     group.sample_size(10);
@@ -77,21 +75,6 @@ fn bench_sim(c: &mut Criterion) {
                     .cycles_run
             });
         });
-        for jobs in [1, 4] {
-            group.bench_function(
-                format!("compiled_batched/jobs_{jobs}/{}", study.name),
-                |b| {
-                    let opts = BatchOptions {
-                        runs: 8,
-                        cycles: 200,
-                        base_seed: seed,
-                        jobs,
-                        ..BatchOptions::default()
-                    };
-                    b.iter(|| run_ift_batch(module, &opts).total_cycles);
-                },
-            );
-        }
     }
     group.finish();
 }

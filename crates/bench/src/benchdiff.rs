@@ -312,11 +312,6 @@ pub struct SolverCounters {
     pub vivified: u64,
     pub strengthened: u64,
     pub subsumed: u64,
-    pub eliminated_vars: u64,
-    pub shared_imported: u64,
-    pub shared_exported: u64,
-    pub cubes_generated: u64,
-    pub cubes_refuted: u64,
     pub reuse_probed: u64,
     pub reuse_imported: u64,
     pub proof_bytes: u64,
@@ -387,11 +382,6 @@ pub fn parse_bench_record(text: &str) -> Result<Vec<DesignRecord>, String> {
                             vivified: n("vivified"),
                             strengthened: n("strengthened"),
                             subsumed: n("subsumed"),
-                            eliminated_vars: n("eliminated_vars"),
-                            shared_imported: n("shared_imported"),
-                            shared_exported: n("shared_exported"),
-                            cubes_generated: n("cubes_generated"),
-                            cubes_refuted: n("cubes_refuted"),
                             reuse_probed: n("reuse_probed"),
                             reuse_imported: n("reuse_imported"),
                             proof_bytes: n("proof_bytes"),
@@ -601,10 +591,9 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
         );
         let _ = writeln!(
             out.markdown,
-            "| Design | Conflicts | Chrono | Vivified | Strengthened | \
-             Subsumed | Elim vars | Shared in/out |",
+            "| Design | Conflicts | Chrono | Vivified | Strengthened | Subsumed |",
         );
-        let _ = writeln!(out.markdown, "|---|---|---|---|---|---|---|---|");
+        let _ = writeln!(out.markdown, "|---|---|---|---|---|---|");
         for (n, s) in counted {
             let base = old
                 .iter()
@@ -616,16 +605,13 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
             };
             let _ = writeln!(
                 out.markdown,
-                "| {} | {} | {} | {} | {} | {} | {} | {}/{} |",
+                "| {} | {} | {} | {} | {} | {} |",
                 n.design,
                 cell(base.map(|b| b.conflicts), s.conflicts),
                 cell(base.map(|b| b.chrono_backtracks), s.chrono_backtracks),
                 cell(base.map(|b| b.vivified), s.vivified),
                 cell(base.map(|b| b.strengthened), s.strengthened),
                 cell(base.map(|b| b.subsumed), s.subsumed),
-                cell(base.map(|b| b.eliminated_vars), s.eliminated_vars),
-                s.shared_imported,
-                s.shared_exported,
             );
         }
     }
@@ -672,40 +658,36 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
             );
         }
     }
-    // Report-only: cube-and-conquer and clause-reuse counters plus the
-    // certification time split (baseline side — the run that performs
-    // every check). Cube counts depend on `--cube-jobs` and the trigger
-    // budget, reuse counts on how warm the `--clause-store` file is, and
-    // the hint/forward seconds on the machine — none of them gate.
-    let cubed: Vec<_> = new
+    // Report-only: clause-reuse counters plus the certification time
+    // split (baseline side — the run that performs every check). Reuse
+    // counts depend on how warm the `--clause-store` file is, and the
+    // hint/forward seconds on the machine — none of them gate.
+    let reused: Vec<_> = new
         .iter()
         .filter_map(|n| n.baseline.solver.map(|s| (n, s)))
         .filter(|(n, s)| {
-            s.cubes_generated > 0
-                || s.reuse_probed > 0
+            s.reuse_probed > 0
                 || s.proof_bytes > 0
                 || n.baseline.cert_backward_s > 0.0
                 || n.baseline.cert_forward_s > 0.0
         })
         .collect();
-    if !cubed.is_empty() {
+    if !reused.is_empty() {
         let _ = writeln!(
             out.markdown,
-            "\nCube & clause-reuse counters (baseline side, report-only):\n"
+            "\nClause-reuse counters (baseline side, report-only):\n"
         );
         let _ = writeln!(
             out.markdown,
-            "| Design | Cubes gen/refuted | Clauses probed/imported/rejected | \
+            "| Design | Clauses probed/imported/rejected | \
              Proof bytes | Hint-check (s) | Forward-check (s) |",
         );
-        let _ = writeln!(out.markdown, "|---|---|---|---|---|---|");
-        for (n, s) in cubed {
+        let _ = writeln!(out.markdown, "|---|---|---|---|---|");
+        for (n, s) in reused {
             let _ = writeln!(
                 out.markdown,
-                "| {} | {}/{} | {}/{}/{} | {} | {:.3} | {:.3} |",
+                "| {} | {}/{}/{} | {} | {:.3} | {:.3} |",
                 n.design,
-                s.cubes_generated,
-                s.cubes_refuted,
                 s.reuse_probed,
                 s.reuse_imported,
                 s.reuse_probed.saturating_sub(s.reuse_imported),
@@ -846,7 +828,7 @@ mod tests {
         let s = rows[0].baseline.solver.expect("present");
         assert_eq!(s.conflicts, 10);
         assert_eq!(s.vivified, 3);
-        assert_eq!(s.eliminated_vars, 0, "absent counters default to 0");
+        assert_eq!(s.subsumed, 0, "absent counters default to 0");
         let diff = diff_bench_records(MINI, &with_counters).expect("diff");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
         assert!(diff.markdown.contains("Solver technique counters"));
@@ -858,36 +840,34 @@ mod tests {
     }
 
     #[test]
-    fn cube_and_reuse_counters_are_report_only() {
-        // Records without cube/reuse activity render no cube section.
+    fn reuse_counters_are_report_only() {
+        // Records without reuse activity render no reuse section.
         let diff = diff_bench_records(MINI, MINI).expect("diff");
-        assert!(!diff.markdown.contains("Cube & clause-reuse"));
-        // A cubed + clause-store record gains the section; the counters
-        // and the certification time split never gate.
-        let cubed = MINI.replace(
+        assert!(!diff.markdown.contains("Clause-reuse"));
+        // A clause-store record gains the section; the counters and the
+        // certification time split never gate.
+        let reused = MINI.replace(
             r#""method": "UPEC", "inspections": 32}"#,
             r#""method": "UPEC", "inspections": 32,
                "formal": {"checks": 4, "cert_backward_s": 0.25,
                  "cert_forward_s": 0.0},
-               "solver": {"conflicts": 10, "cubes_generated": 6,
-                 "cubes_refuted": 2, "reuse_probed": 9,
+               "solver": {"conflicts": 10, "reuse_probed": 9,
                  "reuse_imported": 5, "proof_bytes": 4096}}"#,
         );
-        let rows = parse_bench_record(&cubed).expect("parses");
+        let rows = parse_bench_record(&reused).expect("parses");
         let s = rows[0].baseline.solver.expect("present");
-        assert_eq!(s.cubes_generated, 6);
         assert_eq!(s.reuse_imported, 5);
         assert_eq!(s.proof_bytes, 4096);
         assert!((rows[0].baseline.cert_backward_s - 0.25).abs() < 1e-9);
-        let diff = diff_bench_records(&cubed, &cubed).expect("diff");
+        let diff = diff_bench_records(&reused, &reused).expect("diff");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-        assert!(diff.markdown.contains("Cube & clause-reuse"));
+        assert!(diff.markdown.contains("Clause-reuse"));
         // rejected = probed - imported.
         assert!(diff.markdown.contains("| 9/5/4 |"));
-        // Counter drift (a warmer store, a different cube budget) is
-        // annotated nowhere and gates nothing.
-        let drifted = cubed.replace(r#""reuse_imported": 5"#, r#""reuse_imported": 8"#);
-        let diff = diff_bench_records(&cubed, &drifted).expect("diff");
+        // Counter drift (a warmer store) is annotated nowhere and gates
+        // nothing.
+        let drifted = reused.replace(r#""reuse_imported": 5"#, r#""reuse_imported": 8"#);
+        let diff = diff_bench_records(&reused, &drifted).expect("diff");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
     }
 

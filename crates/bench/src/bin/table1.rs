@@ -28,11 +28,6 @@
 //!   --bench-json PATH
 //!                write a machine-readable per-design benchmark record
 //!                (wall-clock, sim cycles/s, solver stats) to PATH
-//!   --sat-portfolio N
-//!                race every UPEC check over N diversified SAT solver
-//!                configurations (default 0 = sequential; the rendered
-//!                table is byte-identical for every N, only wall-clock
-//!                changes)
 //!   --proof-cache DIR
 //!                attach the content-addressed proof cache at DIR
 //!                (implies certification; cached verdicts are revalidated
@@ -44,20 +39,17 @@
 //!                the guarded word-level equivalence predicates; bits is
 //!                the flat bit-equality reference oracle). A word check
 //!                that runs out of its conflict budget is answered in
-//!                bits, and its engine stays in bits. Inspection counts
-//!                can differ between the two (cv32e40s baseline: 43 in
-//!                words, 42 in bits)
+//!                bits, and its engine stays in bits. Table I renders
+//!                identically in both; each encoding still steers
+//!                refinement by its own counterexamples, so counts can
+//!                differ elsewhere (fuzz seed 1, iteration 313: 2
+//!                inspections in words, 1 in bits)
 //!   --upec-engine induction|ic3
 //!                formal engine policy (default: ic3). ic3 escalates
 //!                inspection-costing counterexamples to the SecIC3
 //!                engine, whose certified relational-invariant discharges
 //!                can convert constrained verdicts into proved ones;
 //!                induction is the escalation-free reference oracle
-//!   --cube-jobs N
-//!                split hard UPEC checks into a lookahead cube tree and
-//!                conquer the cubes on N workers (default 1 = cube
-//!                sequentially; 0 disables cubing). The rendered table
-//!                is byte-identical for every N
 //!   --cert-forward
 //!                certify by forward DRUP replay instead of the default
 //!                hinted backward check (table output is identical;
@@ -121,17 +113,6 @@ fn main() {
                     std::process::exit(2);
                 })
         }),
-        sat_portfolio: args
-            .iter()
-            .position(|a| a == "--sat-portfolio")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("--sat-portfolio expects a number, got {v:?}");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(0),
         proof_cache: args.iter().position(|a| a == "--proof-cache").map(|i| {
             args.get(i + 1)
                 .map(std::path::PathBuf::from)
@@ -162,17 +143,6 @@ fn main() {
                 })
             })
             .unwrap_or(fastpath::UpecEngine::Ic3),
-        cube_jobs: args
-            .iter()
-            .position(|a| a == "--cube-jobs")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("--cube-jobs expects a number, got {v:?}");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(1),
         cert_forward: args.iter().any(|a| a == "--cert-forward"),
         clause_store: args.iter().position(|a| a == "--clause-store").map(|i| {
             args.get(i + 1)

@@ -51,10 +51,6 @@ pub struct Table1Options {
     /// Timing data goes only into the file, never into the rendered
     /// table, so determinism comparisons are unaffected.
     pub bench_json: Option<PathBuf>,
-    /// Race every UPEC check over a SAT solver portfolio of this width
-    /// (`--sat-portfolio N`; 0 or 1 = sequential). The rendered table is
-    /// byte-identical for every width — only wall-clock changes.
-    pub sat_portfolio: usize,
     /// Attach the content-addressed proof cache at this directory
     /// (`--proof-cache DIR`). Implies certification (cached verdicts are
     /// revalidated on load), so the rendered table is byte-identical to a
@@ -63,9 +59,8 @@ pub struct Table1Options {
     pub proof_cache: Option<PathBuf>,
     /// SAT encoding the UPEC engines start in (`--upec-encoding
     /// bits|words`; see [`FlowOptions::upec_encoding`]). The rendered
-    /// table is byte-identical between the two on the designs CI's
-    /// equivalence smoke test compares; cv32e40s's baseline takes one
-    /// inspection more in words than in bits.
+    /// table is byte-identical between the two on all eight designs,
+    /// which CI's equivalence smoke test compares.
     pub upec_encoding: UpecEncoding,
     /// Formal engine policy (`--upec-engine induction|ic3`). `ic3` (the
     /// default) escalates inspection-costing counterexamples to the
@@ -73,12 +68,6 @@ pub struct Table1Options {
     /// verdicts into proved ones; `induction` is the escalation-free
     /// reference oracle.
     pub upec_engine: UpecEngine,
-    /// Cube-and-conquer width for hard UPEC checks (`--cube-jobs N`; 0
-    /// disables cubing, 1 — the default — generates and conquers cubes
-    /// sequentially). The rendered table is byte-identical for every
-    /// width; only wall-clock and the cube counters in `--bench-json`
-    /// change.
-    pub cube_jobs: usize,
     /// Certify by forward DRUP replay instead of the default hinted
     /// backward check (`--cert-forward`). The rendered table is
     /// byte-identical either way — only the certification wall-clock
@@ -107,11 +96,9 @@ impl Default for Table1Options {
             dump_artifacts: None,
             sim_engine: SimEngine::default(),
             bench_json: None,
-            sat_portfolio: 0,
             proof_cache: None,
             upec_encoding: UpecEncoding::Words,
             upec_engine: UpecEngine::Ic3,
-            cube_jobs: 1,
             cert_forward: false,
             clause_store: None,
         }
@@ -153,11 +140,9 @@ pub fn run_table1(studies: &[CaseStudy], opts: &Table1Options) -> String {
         certify: opts.certify,
         dump_artifacts: opts.dump_artifacts.clone(),
         sim_engine: opts.sim_engine,
-        sat_portfolio: opts.sat_portfolio,
         cache,
         upec_encoding: opts.upec_encoding,
         upec_engine: opts.upec_engine,
-        cube_jobs: opts.cube_jobs,
         cert_forward: opts.cert_forward,
         clause_store: clause_store.clone(),
         ..FlowOptions::default()
@@ -277,9 +262,7 @@ fn write_bench_json(
              \"propagations\": {}, \"restarts\": {}, \
              \"learnt_clauses\": {}, \"chrono_backtracks\": {}, \
              \"rephases\": {}, \"vivified\": {}, \"strengthened\": {}, \
-             \"subsumed\": {}, \"eliminated_vars\": {}, \
-             \"shared_imported\": {}, \"shared_exported\": {}, \
-             \"cubes_generated\": {}, \"cubes_refuted\": {}, \
+             \"subsumed\": {}, \
              \"reuse_probed\": {}, \"reuse_imported\": {}, \
              \"proof_bytes\": {}}}}}",
             report.verdict,
@@ -305,11 +288,6 @@ fn write_bench_json(
             s.vivified,
             s.strengthened,
             s.subsumed,
-            s.eliminated_vars,
-            s.shared_imported,
-            s.shared_exported,
-            s.cubes_generated,
-            s.cubes_refuted,
             s.reuse_probed,
             s.reuse_imported,
             s.proof_bytes,
@@ -525,22 +503,13 @@ fn render_runtime(out: &mut String, fast: &FlowReport) {
     let _ = writeln!(
         out,
         "  inproc:  {} chrono backtracks, {} rephases, {} vivified, \
-         {} strengthened, {} subsumed, {} vars eliminated, \
-         {} clauses imported / {} exported",
-        s.chrono_backtracks,
-        s.rephases,
-        s.vivified,
-        s.strengthened,
-        s.subsumed,
-        s.eliminated_vars,
-        s.shared_imported,
-        s.shared_exported
+         {} strengthened, {} subsumed",
+        s.chrono_backtracks, s.rephases, s.vivified, s.strengthened, s.subsumed
     );
     let _ = writeln!(
         out,
-        "  cube:    {} cubes generated, {} refuted by lookahead; \
-         reuse {} probed / {} imported; {} proof bytes",
-        s.cubes_generated, s.cubes_refuted, s.reuse_probed, s.reuse_imported, s.proof_bytes
+        "  reuse:   {} store clauses probed / {} imported; {} proof bytes",
+        s.reuse_probed, s.reuse_imported, s.proof_bytes
     );
     let e = &fast.elaboration;
     let _ = writeln!(

@@ -73,21 +73,6 @@ pub struct FlowOptions {
     /// cross-checking. The tape is compiled once per design instance and
     /// reused across all constraint/policy trial re-simulations.
     pub sim_engine: SimEngine,
-    /// Race every UPEC check over a portfolio of this many diversified
-    /// SAT solver configurations (`0` or `1` = sequential). Verdicts,
-    /// methods, and inspection counts are byte-identical for every
-    /// width; only wall-clock changes.
-    pub sat_portfolio: usize,
-    /// Split SAT checks that outlive their canonical conflict budget into
-    /// lookahead cube trees conquered by this many schedulers (`0`
-    /// disables cubing; `1`, the default, cubes sequentially). Verdicts,
-    /// proofs, and inspection counts are byte-identical for every
-    /// non-zero width — see [`fastpath_sat::Solver::set_cube`].
-    pub cube_jobs: usize,
-    /// Overrides the conflict budget of the canonical attempt that
-    /// precedes any cube split. Part of the determinism contract: two
-    /// runs agree byte-for-byte only when their triggers agree.
-    pub cube_trigger: Option<u64>,
     /// With [`certify`](Self::certify), certify through forward replay
     /// with full DRUP artifact renders instead of the default hinted
     /// backward checking (trim to the UNSAT core, emit LRAT-style hints
@@ -115,7 +100,8 @@ pub struct FlowOptions {
     /// not the encoding that answered, so a warm run hits every check the
     /// cold run answered. Each encoding steers refinement by its own
     /// counterexamples, so inspection counts can differ between them:
-    /// cv32e40s's baseline takes 43 under `words` and 42 under `bits`.
+    /// Table I renders identically in both, but the fuzz case at seed 1,
+    /// iteration 313 takes 2 inspections under `words` and 1 under `bits`.
     /// Defaults to the word-level guarded-predicate encoding; `bits` is
     /// the flat bit-equality reference oracle.
     pub upec_encoding: UpecEncoding,
@@ -140,9 +126,6 @@ impl Default for FlowOptions {
             certify: false,
             dump_artifacts: None,
             sim_engine: SimEngine::default(),
-            sat_portfolio: 0,
-            cube_jobs: 1,
-            cube_trigger: None,
             cert_forward: false,
             clause_store: None,
             cache: None,
@@ -501,11 +484,6 @@ pub(crate) fn ensure_upec_engine<'a, 'm>(
         let t0 = Instant::now();
         let mut engine = Upec2Safety::new(module, &UpecSpec::default());
         engine.set_encoding(options.upec_encoding);
-        engine.set_sat_portfolio(options.sat_portfolio);
-        engine.set_sat_cube(options.cube_jobs);
-        if let Some(trigger) = options.cube_trigger {
-            engine.set_sat_cube_trigger(trigger);
-        }
         if let Some(store) = &options.clause_store {
             engine.set_clause_store(Arc::clone(store));
         }

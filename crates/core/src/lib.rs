@@ -60,7 +60,6 @@ mod flow;
 mod pairwise;
 pub mod parallel;
 mod report;
-mod simbatch;
 mod study;
 mod witness;
 
@@ -74,6 +73,5 @@ pub use report::{
     effort_reduction, CertificationSummary, CompletionMethod, FlowEvent, FlowReport, SimStats,
     Stage, StageTimings, Verdict,
 };
-pub use simbatch::{run_ift_batch, BatchOptions, BatchReport};
 pub use study::{CaseStudy, DesignInstance, NamedCondEq, NamedPredicate, TestbenchRestriction};
 pub use witness::{confirm_counterexample, settle_env, WitnessReplay};

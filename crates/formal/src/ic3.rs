@@ -50,12 +50,12 @@
 //!   literal dropping with down-generalization (join the candidate with
 //!   the SAT model on failure), always preserving syntactic disjointness
 //!   from reset.
-//! - **Determinism**: the internal solver runs at portfolio width 1 with
-//!   per-query conflict budgets and a per-attempt propagation cap,
-//!   obligations are processed in a fixed `(level, sequence)` order, and
-//!   all shrink loops walk fixed literal orders under deterministic
-//!   operation budgets — verdicts, lemmas and [`Ic3Stats`] are
-//!   byte-identical across `--jobs` and portfolio widths.
+//! - **Determinism**: every query searches in place on the one internal
+//!   solver under a per-query conflict budget and a per-attempt
+//!   propagation cap, obligations are processed in a fixed
+//!   `(level, sequence)` order, and all shrink loops walk fixed literal
+//!   orders under deterministic operation budgets — verdicts, lemmas and
+//!   [`Ic3Stats`] are byte-identical across `--jobs` values.
 
 use crate::aig::{Aig, AigLit};
 use crate::blast::{build_frame_with_leaves, next_state, Frame};
@@ -423,7 +423,7 @@ impl<'m> Ic3Engine<'m> {
             }
         }
 
-        // Flat state-bit table with frozen SAT handles (needed for reset
+        // Flat state-bit table with its SAT handles (needed for reset
         // assumptions, cube clauses and model extraction).
         let mut bits = Vec::new();
         let mut init_assumps = Vec::new();

@@ -27,8 +27,9 @@
 //! literal costs a rejected probe, nothing more. Determinism comes from
 //! the split between `base` and `pending`: the base snapshot is loaded
 //! once and immutable for the lifetime of the store, and lookups read
-//! only the base — so every `--jobs`/`--sat-portfolio`/`--cube-jobs`
-//! combination of one run sees the same imports in the same order.
+//! only the base — so every `--jobs` value of one run sees the same
+//! imports in the same order, and each engine probes them into its one
+//! in-place solver before its first check.
 //! Clauses published during a run buffer in `pending` and only become
 //! visible to lookups after [`ClauseStore::save`] and a re-open (a warm
 //! run).

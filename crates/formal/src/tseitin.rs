@@ -3,7 +3,9 @@
 //! [`CnfEncoder`] maps AIG literals to SAT literals lazily: only the cone
 //! of influence of the literals the caller asks about is encoded, and each
 //! node is encoded once even across multiple queries (the UPEC engine
-//! relies on this for its incremental fixed-point loop).
+//! relies on this for its incremental fixed-point loop). Every solve runs
+//! in place on the one solver, so each check starts from the clauses the
+//! earlier checks learnt.
 
 use crate::aig::{Aig, AigLit};
 use fastpath_sat::{Lit, Proof, SolveResult, Solver, Var};
@@ -23,22 +25,9 @@ impl Default for CnfEncoder {
 
 impl CnfEncoder {
     /// Creates an empty encoder.
-    ///
-    /// Bounded variable elimination is switched off on the underlying
-    /// solver: the refinement loop keeps encoding new cone slices over
-    /// variables a previous pass may have eliminated, and every such
-    /// `add_clause` forces a restore that permanently freezes the
-    /// variable — the eliminate/restore churn (plus the resolvents it
-    /// leaves behind) costs far more than elimination saves on this
-    /// incremental workload. The other inprocessing techniques
-    /// (vivification, subsumption, root simplification) stay on.
     pub fn new() -> Self {
-        let mut solver = Solver::new();
-        solver.set_variable_elimination(false);
-        // Width 1 from the start: see `set_portfolio`.
-        solver.set_portfolio(1);
         CnfEncoder {
-            solver,
+            solver: Solver::new(),
             node_vars: Vec::new(),
         }
     }
@@ -90,31 +79,6 @@ impl CnfEncoder {
         self.solver.model()
     }
 
-    /// Configures a parallel solver portfolio of `workers` diversified
-    /// workers for every subsequent solve. `0` and `1` both mean "no
-    /// race", but the encoder never drops below width 1: the UPEC
-    /// engine's verdict trajectory must be byte-identical at every
-    /// width, and width 1 (a lone speculative clone whose state is
-    /// adopted only on SAT) is the canonical trajectory a width-`N`
-    /// race reproduces. See [`fastpath_sat::Solver::set_portfolio`].
-    pub fn set_portfolio(&mut self, workers: usize) {
-        self.solver.set_portfolio(workers.max(1));
-    }
-
-    /// Sets the cube-and-conquer scheduling width on the underlying
-    /// solver (`0` disables cubing; see [`fastpath_sat::Solver::set_cube`]
-    /// for the determinism rules — results are identical for every
-    /// non-zero width).
-    pub fn set_cube(&mut self, jobs: usize) {
-        self.solver.set_cube(jobs);
-    }
-
-    /// Sets the conflict budget of the canonical attempt that precedes
-    /// any cube split (see [`fastpath_sat::Solver::set_cube_trigger`]).
-    pub fn set_cube_trigger(&mut self, conflicts: u64) {
-        self.solver.set_cube_trigger(conflicts);
-    }
-
     /// RUP-probes an externally supplied clause against the underlying
     /// solver and imports it on success (see
     /// [`fastpath_sat::Solver::import_clause`]). Must be called between
@@ -139,13 +103,9 @@ impl CnfEncoder {
     }
 
     /// Allocates a fresh, unconstrained SAT variable (for selectors,
-    /// activation guards etc.). The variable is frozen: guards recur as
-    /// assumptions and retirement units across checks, so inprocessing
-    /// must never eliminate them.
+    /// activation guards etc.).
     pub fn fresh_var(&mut self) -> Var {
-        let v = self.solver.new_var();
-        self.solver.freeze(v);
-        v
+        self.solver.new_var()
     }
 
     /// Adds a clause over SAT literals directly.
@@ -155,15 +115,8 @@ impl CnfEncoder {
 
     /// Returns the SAT literal equisatisfiably representing `lit`,
     /// Tseitin-encoding its cone on first use.
-    ///
-    /// The returned variable is frozen: it is a cone *interface*
-    /// variable the caller holds a handle to (for assumptions, monitor
-    /// clauses, or model inspection across later checks), so bounded
-    /// variable elimination must keep it. Interior Tseitin variables of
-    /// the cone stay eliminable.
     pub fn lit(&mut self, aig: &Aig, lit: AigLit) -> Lit {
         let var = self.node_var(aig, lit.node());
-        self.solver.freeze(var);
         var.lit(!lit.is_complemented())
     }
 
@@ -223,7 +176,8 @@ impl CnfEncoder {
         self.solver.add_clause(&[l]);
     }
 
-    /// Solves under SAT-literal assumptions.
+    /// Solves under SAT-literal assumptions, in place (see
+    /// [`Solver::solve_with`]).
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.solver.solve_with(assumptions)
     }
@@ -303,6 +257,42 @@ mod tests {
         assert_eq!(enc.solve_with(&[lx, la, lb]), SolveResult::Unsat);
         assert_eq!(enc.solve_with(&[lx, la, !lb]), SolveResult::Sat);
         assert_eq!(enc.solve_with(&[!lx, la, lb]), SolveResult::Sat);
+    }
+
+    #[test]
+    fn a_repeated_check_starts_from_what_the_first_learnt() {
+        // Five pigeons in four holes, each "the pigeon sits somewhere"
+        // clause guarded by `act`: UNSAT under `[act]`, and only after
+        // real conflict analysis. The solve runs in place, so the second
+        // identical check starts from the first one's learnt clauses and
+        // needs fewer conflicts.
+        let mut enc = CnfEncoder::new();
+        let act = enc.fresh_var();
+        let pigeons: Vec<Vec<Var>> = (0..5)
+            .map(|_| (0..4).map(|_| enc.fresh_var()).collect())
+            .collect();
+        for holes in &pigeons {
+            let mut lits = vec![act.negative()];
+            lits.extend(holes.iter().map(|v| v.positive()));
+            enc.add_clause(&lits);
+        }
+        for (i, first) in pigeons.iter().enumerate() {
+            for second in &pigeons[i + 1..] {
+                for (a, b) in first.iter().zip(second) {
+                    enc.add_clause(&[a.negative(), b.negative()]);
+                }
+            }
+        }
+        let conflicts = |enc: &CnfEncoder| enc.solver().stats().conflicts;
+        assert_eq!(enc.solve_with(&[act.positive()]), SolveResult::Unsat);
+        let first = conflicts(&enc);
+        assert!(first > 0, "the check must need conflict analysis");
+        assert_eq!(enc.solve_with(&[act.positive()]), SolveResult::Unsat);
+        let second = conflicts(&enc) - first;
+        assert!(
+            second < first,
+            "the second check took {second} conflicts, the first {first}"
+        );
     }
 
     #[test]

@@ -578,14 +578,6 @@ pub struct Upec2Safety<'m> {
     f0_invariants: usize,
     last_aig_nodes: usize,
     checks: u64,
-    /// Portfolio width applied to every encoder (0 = sequential);
-    /// reapplied after fresh-mode resets.
-    sat_portfolio: usize,
-    /// Cube-and-conquer width applied to every encoder (0 = off);
-    /// reapplied after fresh-mode resets.
-    sat_cube: usize,
-    /// Override of the cube trigger's canonical-attempt conflict budget.
-    sat_cube_trigger: Option<u64>,
     /// Solver statistics of encoders discarded by fresh-mode resets.
     stats_at_reset: SolverStats,
     /// Elaboration counters of AIGs discarded by fresh-mode resets, plus
@@ -629,9 +621,6 @@ impl<'m> Upec2Safety<'m> {
             f0_invariants: 0,
             last_aig_nodes: 0,
             checks: 0,
-            sat_portfolio: 0,
-            sat_cube: 0,
-            sat_cube_trigger: None,
             stats_at_reset: SolverStats::default(),
             elab: ElaborationStats::default(),
             cert: None,
@@ -639,39 +628,6 @@ impl<'m> Upec2Safety<'m> {
             reuse: None,
             pending_relational: Vec::new(),
         }
-    }
-
-    /// Races every SAT check over a portfolio of `workers` diversified
-    /// solver configurations (0 or 1 = sequential). Verdicts, models,
-    /// methods, and inspection counts are identical to the sequential
-    /// run for every width — see the determinism notes on
-    /// [`fastpath_sat::Solver::set_portfolio`] — so this only changes
-    /// wall-clock, never results. Composes with certification: each
-    /// worker keeps a self-contained proof trace.
-    pub fn set_sat_portfolio(&mut self, workers: usize) {
-        self.sat_portfolio = workers;
-        self.encoder.set_portfolio(workers);
-    }
-
-    /// Splits hard checks into cube trees conquered by `jobs` schedulers
-    /// (0 disables cubing). Verdicts, models, learned state, and proofs
-    /// are byte-identical for every non-zero width — see
-    /// [`fastpath_sat::Solver::set_cube`] — so, like the portfolio, this
-    /// only changes wall-clock. Composes with certification: stitched
-    /// cube proofs splice into the single trace the checker consumes.
-    pub fn set_sat_cube(&mut self, jobs: usize) {
-        self.sat_cube = jobs;
-        self.encoder.set_cube(jobs);
-    }
-
-    /// Overrides the conflict budget of the canonical attempt that
-    /// precedes any cube split (see
-    /// [`fastpath_sat::Solver::set_cube_trigger`]). Changing the trigger
-    /// changes which checks split, hence the proof trace — it is part of
-    /// the determinism contract, not a free tuning knob.
-    pub fn set_sat_cube_trigger(&mut self, conflicts: u64) {
-        self.sat_cube_trigger = Some(conflicts);
-        self.encoder.set_cube_trigger(conflicts);
     }
 
     /// Switches certification to forward replay with full DRUP artifact
@@ -707,9 +663,8 @@ impl<'m> Upec2Safety<'m> {
     ///
     /// Imports only read the store's immutable base snapshot and happen
     /// before any solving, so verdicts and proofs stay byte-identical
-    /// across every `--jobs`/`--sat-portfolio`/`--cube-jobs` combination;
-    /// cross-design clauses materialize on the *next* run against the
-    /// saved store.
+    /// for every `--jobs` value; cross-design clauses materialize on the
+    /// *next* run against the saved store.
     pub fn set_clause_store(&mut self, store: Arc<ClauseStore>) {
         let canon = canonical_form(self.module);
         let state_ids = self.module.state_signals();
@@ -991,11 +946,6 @@ impl<'m> Upec2Safety<'m> {
         self.elab.strash_misses += self.aig.strash_misses();
         self.aig = Aig::new();
         self.encoder = CnfEncoder::new();
-        self.encoder.set_portfolio(self.sat_portfolio);
-        self.encoder.set_cube(self.sat_cube);
-        if let Some(trigger) = self.sat_cube_trigger {
-            self.encoder.set_cube_trigger(trigger);
-        }
         self.template = None;
         self.product = None;
         self.f0_constraints = 0;
@@ -2669,22 +2619,6 @@ mod tests {
         assert!(upec.export_learnt_clauses() >= 1);
         assert!(store.pending_clauses() >= 1);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn engine_cube_width_does_not_change_verdicts() {
-        let m = oblivious();
-        let acc = m.signal_by_name("acc").expect("acc");
-        let cnt = m.signal_by_name("cnt").expect("cnt");
-        let mut base = Upec2Safety::new(&m, &UpecSpec::default());
-        let mut cubed = Upec2Safety::new(&m, &UpecSpec::default());
-        cubed.set_sat_cube(4);
-        // Trigger after a single conflict so even these small checks
-        // actually split.
-        cubed.set_sat_cube_trigger(1);
-        for z in [vec![acc, cnt], vec![cnt], vec![acc], vec![]] {
-            assert_eq!(base.check(&z).holds(), cubed.check(&z).holds(), "{z:?}");
-        }
     }
 
     #[test]

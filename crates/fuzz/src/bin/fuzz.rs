@@ -13,14 +13,8 @@
 //!                    generated regression tests into DIR
 //!   --certify        certify every SAT verdict with DRUP proofs and
 //!                    check them (slower)
-//!   --sat-portfolio N
-//!                    additionally race every check over N diversified
-//!                    SAT configs and require verdict agreement with
-//!                    the sequential run (default 0 = off)
 //!   --no-shrink      keep violating cases unminimized
 //!   --no-engine-diff skip the compiled-vs-interpretive sim battery
-//!   --no-cube-diff   skip the cube-and-conquer vs monolithic agreement
-//!                    re-runs
 //!   --no-encoding-diff
 //!                    skip the words-vs-bits UPEC encoding agreement
 //!                    re-runs
@@ -85,8 +79,6 @@ fn run(args: &[String]) {
         } else {
             FaultInjection::None
         },
-        portfolio: parsed_flag(args, "--sat-portfolio").unwrap_or(0),
-        check_cubes: !args.iter().any(|a| a == "--no-cube-diff"),
         check_encodings: !args.iter().any(|a| a == "--no-encoding-diff"),
         check_ic3: !args.iter().any(|a| a == "--no-ic3-diff"),
         shrink: !args.iter().any(|a| a == "--no-shrink"),

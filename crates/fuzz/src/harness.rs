@@ -33,13 +33,6 @@ pub struct RunOptions {
     pub check_engines: bool,
     /// Fault injection (tests only).
     pub fault: FaultInjection,
-    /// Re-run both flows under an N-way SAT portfolio and require
-    /// agreement with the sequential verdicts (0 = skip).
-    pub portfolio: usize,
-    /// Re-run both flows with every hard check forced through a
-    /// lookahead cube tree and require agreement with the monolithic
-    /// verdicts.
-    pub check_cubes: bool,
     /// Re-run both flows with the bit-level UPEC encoding and require
     /// agreement with the word-level verdicts.
     pub check_encodings: bool,
@@ -62,8 +55,6 @@ impl Default for RunOptions {
             certify: false,
             check_engines: true,
             fault: FaultInjection::None,
-            portfolio: 0,
-            check_cubes: true,
             check_encodings: true,
             check_ic3: true,
             shrink: true,
@@ -128,8 +119,6 @@ pub fn fuzz_run(opts: &RunOptions) -> RunSummary {
         certify: opts.certify,
         check_engines: opts.check_engines,
         fault: opts.fault,
-        portfolio: opts.portfolio,
-        check_cubes: opts.check_cubes,
         check_encodings: opts.check_encodings,
         check_ic3: opts.check_ic3,
     };

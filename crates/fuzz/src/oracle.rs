@@ -28,29 +28,18 @@
 //! 6. **CertificateValid** — with certification enabled, every SAT-level
 //!    verdict along the way carries a DRUP certificate that the
 //!    independent checker accepts.
-//! 7. **PortfolioAgreement** — with a portfolio width configured, the
-//!    whole hybrid flow and the exhaustive baseline re-run with the SAT
-//!    portfolio racing every check must reproduce the sequential
-//!    verdict, completing stage, and inspection count exactly (the
-//!    portfolio's determinism contract).
-//! 8. **CubeAgreement** — forcing every hard check through a lookahead
-//!    cube tree (cube-and-conquer with a 1-conflict trigger) must
-//!    reproduce the monolithic verdict, completing stage, and
-//!    inspection count exactly; with certification on, the stitched
-//!    per-cube proofs must pass the same backward check as monolithic
-//!    proofs.
-//! 9. **EncodingAgreement** — the word-level guarded-predicate UPEC
+//! 7. **EncodingAgreement** — the word-level guarded-predicate UPEC
 //!    encoding (the flow default) and the flat bit-equality reference
 //!    oracle must reproduce each other's verdict, completing stage, and
 //!    inspection count exactly; with certification on, the bits re-run
 //!    must also be fully certified.
-//! 10. **Ic3Agreement** — the IC3-escalating flow (the engine default)
-//!     must never be *weaker* than the escalation-free induction
-//!     reference: its verdict ranks at least as strong, it never inspects
-//!     more counterexamples, and any constraint it activates the
-//!     reference activated too (a certified discharge may only remove
-//!     work, never add it); with certification on, the induction re-run
-//!     must also be fully certified.
+//! 8. **Ic3Agreement** — the IC3-escalating flow (the engine default)
+//!    must never be *weaker* than the escalation-free induction
+//!    reference: its verdict ranks at least as strong, it never inspects
+//!    more counterexamples, and any constraint it activates the
+//!    reference activated too (a certified discharge may only remove
+//!    work, never add it); with certification on, the induction re-run
+//!    must also be fully certified.
 //!
 //! An extra, zero-trust cross-check — **EngineEquivalence** — runs the
 //! compiled and interpretive simulators side by side on the same case
@@ -87,12 +76,6 @@ pub enum InvariantKind {
     VerdictAgreement,
     /// A certification-enabled verdict failed its DRUP check.
     CertificateValid,
-    /// The portfolio-mode flow diverged from the sequential flow.
-    PortfolioAgreement,
-    /// The cube-and-conquer flow (every hard check forced through a
-    /// lookahead cube tree, stitched proofs certified) diverged from the
-    /// monolithic flow.
-    CubeAgreement,
     /// The word-level UPEC encoding diverged from the bit-level
     /// reference encoding.
     EncodingAgreement,
@@ -114,8 +97,6 @@ impl fmt::Display for InvariantKind {
             InvariantKind::RefinementTermination => "refinement-termination",
             InvariantKind::VerdictAgreement => "verdict-agreement",
             InvariantKind::CertificateValid => "certificate-valid",
-            InvariantKind::PortfolioAgreement => "portfolio-agreement",
-            InvariantKind::CubeAgreement => "cube-agreement",
             InvariantKind::EncodingAgreement => "encoding-agreement",
             InvariantKind::Ic3Agreement => "ic3-agreement",
             InvariantKind::EngineEquivalence => "engine-equivalence",
@@ -154,16 +135,6 @@ pub struct OracleOptions {
     pub certify: bool,
     /// Also run the compiled-vs-interpretive simulator battery.
     pub check_engines: bool,
-    /// Re-run both flows with a SAT portfolio of this width and demand
-    /// verdict/method/inspection agreement with the sequential runs
-    /// (`0` or `1` = skip the check).
-    pub portfolio: usize,
-    /// Re-run both flows with every hard check forced through a
-    /// lookahead cube tree (width 2, trigger 1 conflict) and demand
-    /// verdict/method/inspection agreement with the monolithic runs;
-    /// with [`certify`](Self::certify) the stitched cube proofs must
-    /// also fully certify.
-    pub check_cubes: bool,
     /// Re-run both flows with the bit-level UPEC encoding and demand
     /// verdict/method/inspection agreement with the word-level runs.
     pub check_encodings: bool,
@@ -179,8 +150,6 @@ impl Default for OracleOptions {
         OracleOptions {
             certify: false,
             check_engines: true,
-            portfolio: 0,
-            check_cubes: true,
             check_encodings: true,
             check_ic3: true,
             fault: FaultInjection::None,
@@ -534,87 +503,6 @@ pub fn check_case(case: &FuzzCase, opts: &OracleOptions) -> OracleOutcome {
         }
     }
 
-    // Portfolio determinism: racing diversified solver configurations
-    // must change wall-clock only, never results.
-    if opts.portfolio > 1 {
-        let portfolio_opts = FlowOptions {
-            certify: opts.certify,
-            sat_portfolio: opts.portfolio,
-            ..FlowOptions::default()
-        };
-        let fast_p = run_fastpath_with(&study, portfolio_opts.clone());
-        let base_p = run_baseline_with(&study, portfolio_opts);
-        for (label, seq, par) in [("fastpath", &fast, &fast_p), ("baseline", &base, &base_p)] {
-            if seq.verdict != par.verdict
-                || seq.method != par.method
-                || seq.manual_inspections != par.manual_inspections
-            {
-                violations.push(Violation {
-                    kind: InvariantKind::PortfolioAgreement,
-                    detail: format!(
-                        "{label} diverged under --sat-portfolio {}: \
-                         sequential ({}, {}, {} inspections) vs \
-                         portfolio ({}, {}, {} inspections)",
-                        opts.portfolio,
-                        seq.verdict,
-                        seq.method,
-                        seq.manual_inspections,
-                        par.verdict,
-                        par.method,
-                        par.manual_inspections,
-                    ),
-                });
-            }
-        }
-    }
-
-    // Cube-and-conquer determinism: forcing every hard check through a
-    // lookahead cube tree (rather than waiting for the production
-    // conflict trigger) must change wall-clock only, never results —
-    // and with certification on, the stitched per-cube proofs must pass
-    // the same hinted backward check as monolithic proofs.
-    if opts.check_cubes {
-        let cube_opts = FlowOptions {
-            certify: opts.certify,
-            cube_jobs: 2,
-            cube_trigger: Some(1),
-            ..FlowOptions::default()
-        };
-        let fast_c = run_fastpath_with(&study, cube_opts.clone());
-        let base_c = run_baseline_with(&study, cube_opts);
-        for (label, mono, cubed) in [("fastpath", &fast, &fast_c), ("baseline", &base, &base_c)] {
-            if mono.verdict != cubed.verdict
-                || mono.method != cubed.method
-                || mono.manual_inspections != cubed.manual_inspections
-            {
-                violations.push(Violation {
-                    kind: InvariantKind::CubeAgreement,
-                    detail: format!(
-                        "{label} diverged under cube-and-conquer: \
-                         monolithic ({}, {}, {} inspections) vs cubed \
-                         ({}, {}, {} inspections)",
-                        mono.verdict,
-                        mono.method,
-                        mono.manual_inspections,
-                        cubed.verdict,
-                        cubed.method,
-                        cubed.manual_inspections,
-                    ),
-                });
-            }
-            if opts.certify && cubed.fully_certified() != Some(true) {
-                violations.push(Violation {
-                    kind: InvariantKind::CertificateValid,
-                    detail: format!(
-                        "{label} cubed re-run (stitched proofs) is not \
-                         fully certified: {:?}",
-                        cubed.certification.as_ref().map(|c| &c.failures),
-                    ),
-                });
-            }
-        }
-    }
-
     // Encoding equivalence: the word-level guarded-predicate encoding
     // (the flow default) and the flat bit-equality reference oracle
     // solve different CNFs over the same property, so the whole hybrid
@@ -790,48 +678,6 @@ mod tests {
             ..OracleOptions::default()
         };
         for seed in 0..3 {
-            let case = generate_case(seed);
-            let outcome = check_case(&case, &opts);
-            assert!(
-                outcome.violations.is_empty(),
-                "seed {seed}: {:?}",
-                outcome.violations
-            );
-        }
-    }
-
-    #[test]
-    fn cube_agreement_holds_certified() {
-        // Cube-and-conquer (1-conflict trigger, so every non-trivial
-        // check actually cubes) vs monolithic, with full certification
-        // of the stitched proofs: the CubeAgreement and
-        // CertificateValid invariants together.
-        let opts = OracleOptions {
-            certify: true,
-            check_engines: false,
-            check_encodings: false,
-            check_ic3: false,
-            ..OracleOptions::default()
-        };
-        for seed in 0..3 {
-            let case = generate_case(seed);
-            let outcome = check_case(&case, &opts);
-            assert!(
-                outcome.violations.is_empty(),
-                "seed {seed}: {:?}",
-                outcome.violations
-            );
-        }
-    }
-
-    #[test]
-    fn portfolio_mode_agrees_with_sequential() {
-        let opts = OracleOptions {
-            portfolio: 3,
-            check_engines: false,
-            ..OracleOptions::default()
-        };
-        for seed in 0..4 {
             let case = generate_case(seed);
             let outcome = check_case(&case, &opts);
             assert!(

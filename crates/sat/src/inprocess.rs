@@ -1,6 +1,6 @@
 //! Inprocessing: formula simplification between restarts.
 //!
-//! Four techniques run at the root level, every one of them DRUP-sound:
+//! Three techniques run at the root level, every one of them DRUP-sound:
 //!
 //! * **Root simplification** — clauses satisfied at the root are
 //!   deleted; root-false literals are stripped (the stripped clause is
@@ -13,26 +13,13 @@
 //! * **Vivification** — assert the negation of a clause's literals one
 //!   by one; a conflict, an implied literal, or a falsified literal each
 //!   yield a shorter RUP replacement.
-//! * **Bounded variable elimination** — non-frozen variables whose
-//!   resolvent count does not exceed the clauses removed. Resolvents of
-//!   two present parents are RUP and logged as `Learn`. The removed
-//!   *original* clauses are detached from the solver but deliberately
-//!   **not** logged as deletions: the checker keeps them, which keeps
-//!   the axiom stream authoritative (`Cnf::from_steps`, model checks)
-//!   and keeps every later RUP check sound — RUP is monotone in the
-//!   clause database, so verifying against a superset can only succeed
-//!   more often, never less. Removed clauses are stored on an
-//!   elimination stack for Eén–Biere model reconstruction and for
-//!   restoration when an eliminated variable reappears in a new clause
-//!   or assumption (incremental use).
 //!
-//! The caller must keep interface variables frozen ([`Solver::freeze`])
-//! for the restoration path to stay cheap; assumption literals are
-//! frozen automatically.
+//! None of them removes a variable, so every variable stays available
+//! to later clauses and assumptions of an incremental caller.
 
 use crate::proof::ProofStep;
 use crate::solver::{tier_for_lbd, Solver, Tier};
-use crate::types::{LBool, Lit, Var};
+use crate::types::{LBool, Lit};
 
 /// Per-pass work bound for the subsumption sweep (literal visits).
 const SUBSUME_BUDGET: u64 = 2_000_000;
@@ -40,8 +27,6 @@ const SUBSUME_BUDGET: u64 = 2_000_000;
 const VIVIFY_CLAUSES: usize = 128;
 /// Per-pass propagation bound for vivification probes.
 const VIVIFY_PROPS: u64 = 200_000;
-/// Occurrence bound per polarity for variable elimination candidates.
-const BVE_OCC_LIMIT: usize = 10;
 
 impl Solver {
     /// One inprocessing pass. Called at a restart boundary (decision
@@ -59,12 +44,6 @@ impl Solver {
             return;
         }
         self.vivify_pass();
-        if !self.ok {
-            return;
-        }
-        if self.bve_enabled {
-            self.bve_pass();
-        }
     }
 
     /// Replaces a clause with a strictly stronger (RUP) version, first
@@ -377,261 +356,6 @@ impl Solver {
         }
         occ
     }
-
-    /// Bounded variable elimination (Eén–Biere style) on unfrozen,
-    /// unassigned variables with small occurrence lists, accepted only
-    /// when it does not grow the clause count.
-    fn bve_pass(&mut self) {
-        let mut occ = self.build_occ();
-        let num_vars = self.num_vars();
-        for vi in 0..num_vars {
-            let v = Var::from_index(vi);
-            if self.frozen[vi] || self.eliminated[vi] || self.assigns[vi] != LBool::Undef {
-                continue;
-            }
-            let collect = |solver: &Solver, occ: &[Vec<u32>], lit: Lit| -> Vec<u32> {
-                occ[lit.index()]
-                    .iter()
-                    .copied()
-                    .filter(|&cr| {
-                        let c = &solver.clauses[cr as usize];
-                        !c.deleted && c.lits.contains(&lit)
-                    })
-                    .collect()
-            };
-            let pos_all = collect(self, &occ, v.positive());
-            let neg_all = collect(self, &occ, v.negative());
-            let pos: Vec<u32> = pos_all
-                .iter()
-                .copied()
-                .filter(|&cr| !self.clauses[cr as usize].learnt)
-                .collect();
-            let neg: Vec<u32> = neg_all
-                .iter()
-                .copied()
-                .filter(|&cr| !self.clauses[cr as usize].learnt)
-                .collect();
-            if pos.len() > BVE_OCC_LIMIT || neg.len() > BVE_OCC_LIMIT {
-                continue;
-            }
-            // Build the non-tautological, non-satisfied resolvents.
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let mut feasible = true;
-            'outer: for &pc in &pos {
-                for &nc in &neg {
-                    if let Some(r) = self.resolve(pc, nc, v) {
-                        resolvents.push(r);
-                        if resolvents.len() > pos.len() + neg.len() {
-                            feasible = false;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            if !feasible {
-                continue;
-            }
-            // Commit: log + attach the resolvents, then remove every
-            // clause mentioning v. Original clauses go to the elimination
-            // stack (silently — see the module docs); learnt ones are
-            // deleted with a logged step.
-            for r in &resolvents {
-                if self.proof.is_some() {
-                    let r_copy = r.clone();
-                    self.log(|| ProofStep::Learn(r_copy));
-                }
-            }
-            let mut stored: Vec<Vec<Lit>> = Vec::with_capacity(pos.len() + neg.len());
-            for &cr in pos_all.iter().chain(neg_all.iter()) {
-                if self.clauses[cr as usize].deleted {
-                    continue; // duplicates across the two lists
-                }
-                if self.clauses[cr as usize].learnt {
-                    self.delete_clause(cr);
-                } else {
-                    stored.push(self.clauses[cr as usize].lits.clone());
-                    self.remove_clause_silently(cr);
-                }
-            }
-            self.elim_stack.push((v, stored));
-            self.eliminated[vi] = true;
-            self.stats.eliminated_vars += 1;
-            // Attach the resolvents after the removals so none of them is
-            // deleted as "mentioning v" (they never do), and extend the
-            // occurrence lists so later eliminations see them.
-            for r in resolvents {
-                match r.len() {
-                    0 => {
-                        self.ok = false;
-                        return;
-                    }
-                    1 => match self.lit_value(r[0]) {
-                        LBool::False => {
-                            self.ok = false;
-                            return;
-                        }
-                        LBool::True => {}
-                        LBool::Undef => {
-                            self.enqueue(r[0], None);
-                        }
-                    },
-                    _ => {
-                        let cref = self.attach_clause(r, false);
-                        for &l in &self.clauses[cref as usize].lits {
-                            occ[l.index()].push(cref);
-                        }
-                    }
-                }
-            }
-            if self.propagate().is_some() {
-                self.ok = false;
-                return;
-            }
-        }
-    }
-
-    /// The resolvent of two clauses on pivot `v` (positive in `pc`,
-    /// negative in `nc`): `None` for tautologies and root-satisfied
-    /// resolvents; root-false literals are stripped (still RUP from the
-    /// parents plus root units).
-    fn resolve(&mut self, pc: u32, nc: u32, v: Var) -> Option<Vec<Lit>> {
-        let mut out: Vec<Lit> = Vec::new();
-        for source in [pc, nc] {
-            for &l in &self.clauses[source as usize].lits {
-                if l.var() == v {
-                    continue;
-                }
-                match self.lit_value(l) {
-                    LBool::True => return None,
-                    LBool::False if self.levels[l.var().index()] == 0 => continue,
-                    _ => out.push(l),
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        if out.windows(2).any(|w| w[0] == !w[1]) {
-            return None;
-        }
-        Some(out)
-    }
-
-    /// Detaches and tombstones a clause with **no** proof deletion — used
-    /// only for BVE-removed originals, which the checker must keep (the
-    /// solver restores them on demand without re-logging).
-    fn remove_clause_silently(&mut self, cref: u32) {
-        debug_assert!(!self.clauses[cref as usize].deleted);
-        debug_assert!(!self.clauses[cref as usize].learnt);
-        self.detach_clause(cref);
-        self.clauses[cref as usize].deleted = true;
-    }
-
-    /// Restores every eliminated variable occurring in `lits`, plus any
-    /// eliminated variable appearing in the clauses brought back
-    /// (worklist closure). Called from `add_clause` and `solve_with`.
-    pub(crate) fn restore_eliminated_in(&mut self, lits: &[Lit]) {
-        let mut work: Vec<Var> = lits
-            .iter()
-            .map(|l| l.var())
-            .filter(|v| self.eliminated[v.index()])
-            .collect();
-        while let Some(v) = work.pop() {
-            if !self.eliminated[v.index()] {
-                continue;
-            }
-            let brought_back = self.restore_var(v);
-            for clause in &brought_back {
-                for l in clause {
-                    if self.eliminated[l.var().index()] {
-                        work.push(l.var());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Un-eliminates one variable: re-attaches its stored clauses
-    /// (simplified against the current root assignment, no proof steps —
-    /// the checker never dropped them) and permanently freezes the
-    /// variable so it cannot thrash. Returns the restored clauses.
-    pub(crate) fn restore_var(&mut self, v: Var) -> Vec<Vec<Lit>> {
-        let idx = self
-            .elim_stack
-            .iter()
-            .position(|(u, _)| *u == v)
-            .expect("eliminated variable has a stack entry");
-        let (_, stored) = self.elim_stack.remove(idx);
-        self.eliminated[v.index()] = false;
-        self.frozen[v.index()] = true;
-        self.heap.push(v, &self.activity);
-        self.stats.eliminated_vars = self.stats.eliminated_vars.saturating_sub(1);
-        for clause in &stored {
-            let mut satisfied = false;
-            let mut live: Vec<Lit> = Vec::with_capacity(clause.len());
-            for &l in clause {
-                match self.lit_value(l) {
-                    LBool::True if self.levels[l.var().index()] == 0 => {
-                        satisfied = true;
-                        break;
-                    }
-                    LBool::False if self.levels[l.var().index()] == 0 => {}
-                    _ => live.push(l),
-                }
-            }
-            if satisfied {
-                continue;
-            }
-            match live.len() {
-                0 => {
-                    self.ok = false;
-                    return stored;
-                }
-                1 => match self.lit_value(live[0]) {
-                    LBool::False => {
-                        self.ok = false;
-                        return stored;
-                    }
-                    LBool::True => {}
-                    LBool::Undef => {
-                        self.enqueue(live[0], None);
-                        if self.propagate().is_some() {
-                            self.ok = false;
-                            return stored;
-                        }
-                    }
-                },
-                _ => {
-                    self.attach_clause(live, false);
-                }
-            }
-        }
-        stored
-    }
-
-    /// Eén–Biere model reconstruction: walk the elimination stack in
-    /// reverse, flipping each eliminated variable when one of its removed
-    /// clauses is otherwise falsified. Because all resolvents are
-    /// satisfied by the model, at most one polarity's clauses can demand
-    /// a flip, so a single pass per variable suffices.
-    pub(crate) fn reconstruct_model(&mut self) {
-        let stack = std::mem::take(&mut self.elim_stack);
-        for (v, clauses) in stack.iter().rev() {
-            for clause in clauses {
-                let satisfied = clause
-                    .iter()
-                    .any(|&l| self.model[l.var().index()] == l.is_positive());
-                if !satisfied {
-                    let pol = clause
-                        .iter()
-                        .find(|l| l.var() == *v)
-                        .expect("stored clause mentions its variable")
-                        .is_positive();
-                    self.model[v.index()] = pol;
-                }
-            }
-        }
-        self.elim_stack = stack;
-    }
 }
 
 #[cfg(test)]
@@ -650,75 +374,6 @@ mod tests {
             }
         }
         false
-    }
-
-    #[test]
-    fn bve_eliminates_and_reconstructs_the_model() {
-        // v is eliminable: (v|a) & (!v|b) resolves to (a|b). The model
-        // must still cover v and satisfy the *original* clauses.
-        let mut s = Solver::new();
-        let v = s.new_var();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[v.positive(), a.positive()]);
-        s.add_clause(&[v.negative(), b.positive()]);
-        s.inprocess();
-        assert!(s.eliminated[v.index()], "v should be eliminated");
-        s.add_clause(&[a.negative()]); // force a=0, so v must be 1, so b=1
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.value(a), Some(false));
-        assert_eq!(s.value(v), Some(true), "reconstruction must set v");
-        assert_eq!(s.value(b), Some(true));
-    }
-
-    #[test]
-    fn frozen_variables_are_never_eliminated() {
-        let mut s = Solver::new();
-        let v = s.new_var();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.freeze(v);
-        s.add_clause(&[v.positive(), a.positive()]);
-        s.add_clause(&[v.negative(), b.positive()]);
-        s.inprocess();
-        assert!(!s.eliminated[v.index()], "frozen v must survive BVE");
-        assert!(s.is_frozen(v));
-    }
-
-    #[test]
-    fn adding_a_clause_over_an_eliminated_variable_restores_it() {
-        let mut s = Solver::new();
-        let v = s.new_var();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[v.positive(), a.positive()]);
-        s.add_clause(&[v.negative(), b.positive()]);
-        s.inprocess();
-        assert!(s.eliminated[v.index()]);
-        // New obligation over v: forces restoration, then the combined
-        // formula pins all three variables.
-        s.add_clause(&[v.positive()]);
-        s.add_clause(&[a.negative()]);
-        assert!(!s.eliminated[v.index()]);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.value(v), Some(true));
-        assert_eq!(s.value(b), Some(true));
-    }
-
-    #[test]
-    fn assumptions_over_eliminated_variables_restore_and_freeze() {
-        let mut s = Solver::new();
-        let v = s.new_var();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[v.positive(), a.positive()]);
-        s.add_clause(&[v.negative(), b.positive()]);
-        s.inprocess();
-        assert!(s.eliminated[v.index()]);
-        assert_eq!(s.solve_with(&[v.negative()]), SolveResult::Sat);
-        assert_eq!(s.value(v), Some(false));
-        assert_eq!(s.value(a), Some(true));
-        assert!(s.is_frozen(v), "assumption vars freeze permanently");
     }
 
     #[test]
@@ -754,7 +409,7 @@ mod tests {
             assert_eq!(got, expected, "round {round}: cnf {cnf:?}");
             if got {
                 // The model must satisfy the ORIGINAL cnf, including any
-                // clauses inprocessing removed (reconstruction).
+                // clauses inprocessing deleted or strengthened.
                 for clause in &cnf {
                     assert!(
                         clause.iter().any(|&(v, pos)| s.value(vars[v]) == Some(pos)),

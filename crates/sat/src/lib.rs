@@ -8,9 +8,8 @@
 //! path, 1-UIP learning with clause minimization, VSIDS, phase saving and
 //! target-phase rephasing, Luby restarts, chronological backtracking, a
 //! three-tier (core/mid/local) learnt database, DRUP-sound inprocessing
-//! (vivification, subsumption, bounded variable elimination), a
-//! deterministic parallel portfolio, incremental solving under
-//! assumptions, and DIMACS I/O.
+//! (vivification, subsumption), in-place incremental solving under
+//! assumptions, RUP-probed clause import, and DIMACS I/O.
 //!
 //! # Examples
 //!
@@ -29,11 +28,9 @@
 #![warn(missing_docs)]
 
 mod analyze;
-mod cube;
 mod dimacs;
 mod heap;
 mod inprocess;
-mod portfolio;
 mod proof;
 mod propagate;
 mod reduce;
@@ -41,7 +38,6 @@ mod solver;
 mod stats;
 mod types;
 
-pub use cube::CUBE_TRIGGER_CONFLICTS;
 pub use dimacs::{parse_dimacs, Cnf, ParseDimacsError};
 pub use proof::{Proof, ProofStep};
 pub use solver::Solver;

@@ -34,11 +34,7 @@ pub enum ProofStep {
     /// A clause removed from the database: a learnt clause dropped by
     /// tiered reduction, or an original clause retired by inprocessing
     /// (satisfied at the root, subsumed, or replaced by a strengthened
-    /// RUP version that was `Learn`-logged first). Clauses detached by
-    /// variable elimination are the one exception — they are *not*
-    /// `Delete`-logged, so the checker's axiom stream stays authoritative
-    /// (RUP is monotone in the clause database; see the
-    /// `inprocess` module docs).
+    /// RUP version that was `Learn`-logged first).
     Delete(Vec<Lit>),
 }
 

@@ -6,19 +6,17 @@
 //! Luby-sequence restarts — extended with the techniques of contemporary
 //! solvers: special-cased binary-clause watches, a glue-aware three-tier
 //! learnt-clause database (see `reduce.rs`), chronological backtracking
-//! (see [`Solver::backtrack`]), target-phase rephasing, inprocessing
-//! between restarts (see `inprocess.rs`), and a proof-sound parallel
-//! portfolio (see `portfolio.rs`). Incremental solving under assumptions
-//! is supported, which is what the UPEC-DIT engine uses for its repeated
-//! property checks.
+//! (see [`Solver::backtrack`]), target-phase rephasing, and inprocessing
+//! between restarts (see `inprocess.rs`). Incremental solving under
+//! assumptions is supported, which is what the UPEC-DIT engine uses for
+//! its repeated property checks: every check searches in place on the
+//! one persistent solver, so the learnt clauses and heuristics of each
+//! search carry over to the next.
 
 use crate::heap::VarHeap;
-use crate::portfolio::{ShareCursor, ShareLog};
 use crate::proof::{Proof, ProofStep};
 use crate::stats::SolverStats;
 use crate::types::{LBool, Lit, SolveResult, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 pub(crate) const VAR_DECAY: f64 = 0.95;
 pub(crate) const CLAUSE_DECAY: f64 = 0.999;
@@ -31,11 +29,6 @@ pub(crate) const CHRONO_THRESHOLD: u32 = 100;
 pub(crate) const REPHASE_INTERVAL: u64 = 4096;
 /// Conflicts before the first inprocessing pass; doubles after each pass.
 pub(crate) const INPROCESS_INTERVAL: u64 = 4096;
-/// Learnt clauses with LBD at or below this are exported to portfolio
-/// peers.
-pub(crate) const SHARE_LBD_LIMIT: u32 = 2;
-/// How often (in decisions) a portfolio worker polls the stop flag.
-const STOP_POLL_DECISIONS: u64 = 128;
 
 /// Learnt-clause storage tier. Glue (low-LBD) clauses are kept forever,
 /// mid-tier clauses survive while they keep participating in conflicts,
@@ -122,7 +115,7 @@ impl Watch {
 /// assert_eq!(solver.value(a), Some(true));
 /// assert_eq!(solver.value(b), Some(true));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Solver {
     pub(crate) clauses: Vec<Clause>,
     pub(crate) watches: Vec<Vec<Watch>>,
@@ -154,18 +147,6 @@ pub struct Solver {
     /// Decision-level stamp buffer for allocation-free LBD computation.
     pub(crate) lbd_stamp: Vec<u32>,
     pub(crate) lbd_gen: u32,
-    /// Chronological backtracking switch (portfolio workers diversify it).
-    pub(crate) chrono: bool,
-    pub(crate) chrono_threshold: u32,
-    /// Variables exempt from elimination: assumption/activation literals
-    /// and anything the caller froze explicitly.
-    pub(crate) frozen: Vec<bool>,
-    pub(crate) eliminated: Vec<bool>,
-    /// Eliminated variables with the clauses removed on their behalf, in
-    /// elimination order; used for model reconstruction and restoration.
-    pub(crate) elim_stack: Vec<(Var, Vec<Vec<Lit>>)>,
-    pub(crate) inprocess_enabled: bool,
-    pub(crate) bve_enabled: bool,
     pub(crate) inprocess_passes: u32,
     pub(crate) next_inprocess: u64,
     /// Base conflict gap between inprocessing passes (doubles per pass).
@@ -175,25 +156,6 @@ pub struct Solver {
     pub(crate) vivify_head: usize,
     pub(crate) next_rephase: u64,
     pub(crate) rephase_kind: u8,
-    /// Conflict ceiling for the current `solve_with_budget` call:
-    /// `stats.conflicts` crossing it aborts the search. `u64::MAX`
-    /// (the resting value) disables the check.
-    pub(crate) conflict_limit: u64,
-    /// Portfolio width on the owning solver (0 = plain sequential).
-    pub(crate) portfolio_workers: usize,
-    /// Cube-and-conquer scheduling width (0 = cubing disabled). Affects
-    /// wall-clock only; verdicts, models, stats, and proofs are identical
-    /// for every non-zero value (see `cube.rs`).
-    pub(crate) cube_jobs: usize,
-    /// Conflicts granted to the canonical monolithic attempt before a
-    /// check is declared hard and split into cubes.
-    pub(crate) cube_trigger: u64,
-    /// Race stop flag, set only on portfolio worker clones.
-    pub(crate) stop: Option<Arc<AtomicBool>>,
-    /// Outgoing share log (set on portfolio workers).
-    pub(crate) share_out: Option<Arc<ShareLog>>,
-    /// Incoming share logs from the other workers.
-    pub(crate) share_in: Vec<ShareCursor>,
 }
 
 impl Default for Solver {
@@ -230,26 +192,12 @@ impl Solver {
             proof: None,
             lbd_stamp: vec![0],
             lbd_gen: 0,
-            chrono: true,
-            chrono_threshold: CHRONO_THRESHOLD,
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            elim_stack: Vec::new(),
-            inprocess_enabled: true,
-            bve_enabled: true,
             inprocess_passes: 0,
             next_inprocess: INPROCESS_INTERVAL,
             inprocess_interval: INPROCESS_INTERVAL,
             vivify_head: 0,
             next_rephase: REPHASE_INTERVAL,
             rephase_kind: 0,
-            conflict_limit: u64::MAX,
-            portfolio_workers: 0,
-            cube_jobs: 0,
-            cube_trigger: crate::cube::CUBE_TRIGGER_CONFLICTS,
-            stop: None,
-            share_out: None,
-            share_in: Vec::new(),
         }
     }
 
@@ -285,7 +233,6 @@ impl Solver {
 
     /// The full model of the most recent [`SolveResult::Sat`] outcome
     /// (empty before the first successful solve), indexed by variable.
-    /// Covers eliminated variables via model reconstruction.
     pub fn model(&self) -> &[bool] {
         &self.model
     }
@@ -327,25 +274,6 @@ impl Solver {
         self.stats
     }
 
-    /// Exempts a variable from bounded variable elimination. Activation
-    /// literals and any variable that may occur in future clauses or
-    /// assumptions should be frozen; assumption variables are frozen
-    /// automatically on first use. Freezing is permanent.
-    pub fn freeze(&mut self, v: Var) {
-        self.frozen[v.index()] = true;
-    }
-
-    /// `true` if the variable is exempt from elimination.
-    pub fn is_frozen(&self, v: Var) -> bool {
-        self.frozen[v.index()]
-    }
-
-    /// Enables or disables inprocessing (vivification, subsumption, and
-    /// bounded variable elimination between restarts). On by default.
-    pub fn set_inprocessing(&mut self, enabled: bool) {
-        self.inprocess_enabled = enabled;
-    }
-
     /// Sets the conflict interval between inprocessing passes (default
     /// 4096; the gap also doubles with each completed pass). Lowering it
     /// makes inprocessing fire on short queries — useful for tests and
@@ -353,56 +281,6 @@ impl Solver {
     pub fn set_inprocess_interval(&mut self, conflicts: u64) {
         self.inprocess_interval = conflicts.max(1);
         self.next_inprocess = self.stats.conflicts + self.inprocess_interval;
-    }
-
-    /// Enables or disables bounded variable elimination specifically
-    /// (a sub-switch of inprocessing). On by default.
-    pub fn set_variable_elimination(&mut self, enabled: bool) {
-        self.bve_enabled = enabled;
-    }
-
-    /// Enables or disables chronological backtracking. On by default.
-    pub fn set_chrono(&mut self, enabled: bool) {
-        self.chrono = enabled;
-    }
-
-    /// Sets the portfolio width: `solve` calls race `workers` diversified
-    /// solver configurations and adjudicate deterministically (see
-    /// `portfolio.rs` for the determinism rules). `0` disables the
-    /// portfolio (plain sequential solving).
-    pub fn set_portfolio(&mut self, workers: usize) {
-        self.portfolio_workers = workers;
-    }
-
-    /// The configured portfolio width (0 = sequential).
-    pub fn portfolio(&self) -> usize {
-        self.portfolio_workers
-    }
-
-    /// Sets the cube-and-conquer scheduling width. With `jobs > 0`,
-    /// `solve`/`solve_with` first runs a budgeted canonical attempt (the
-    /// width-1 portfolio discipline); a check that exhausts the attempt's
-    /// conflict budget is split by the lookahead cuber and the cubes are
-    /// conquered over `jobs` threads (see `cube.rs` for the determinism
-    /// rules — results are identical for every non-zero `jobs`). `0`
-    /// disables cubing. Takes precedence over the portfolio race;
-    /// budgeted solves (`solve_with_budget`) never cube.
-    pub fn set_cube(&mut self, jobs: usize) {
-        self.cube_jobs = jobs;
-    }
-
-    /// The configured cube scheduling width (0 = cubing disabled).
-    pub fn cube(&self) -> usize {
-        self.cube_jobs
-    }
-
-    /// Sets the conflict budget of the canonical attempt that precedes
-    /// any split (default [`crate::CUBE_TRIGGER_CONFLICTS`]).
-    /// Checks that finish within the budget never cube, so the common
-    /// case is byte-identical to the monolithic path. Machine-independent
-    /// by construction (a conflict count, not a time limit).
-    pub fn set_cube_trigger(&mut self, conflicts: u64) {
-        self.cube_trigger = conflicts.max(1);
     }
 
     /// Allocates a fresh variable.
@@ -415,8 +293,6 @@ impl Solver {
         self.phase.push(false);
         self.target_phase.push(false);
         self.seen.push(false);
-        self.frozen.push(false);
-        self.eliminated.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.lbd_stamp.push(0);
@@ -440,10 +316,6 @@ impl Solver {
                 "literal {lit} references unallocated variable"
             );
         }
-        // A clause may mention a variable that bounded elimination
-        // removed; restore such variables (and their clauses) first so
-        // the elimination stays sound under incremental additions.
-        self.restore_eliminated_in(lits);
         // Record the clause verbatim (pre-simplification): the axiom
         // stream must cover the exact CNF the caller asserted, and the
         // checker's own propagation re-derives whatever the
@@ -615,7 +487,7 @@ impl Solver {
 
     pub(crate) fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
+            if self.assigns[v.index()] == LBool::Undef {
                 return Some(v);
             }
         }
@@ -630,25 +502,18 @@ impl Solver {
     /// Solves under the given assumption literals: the formula plus each
     /// assumption as a unit constraint for this call only.
     ///
-    /// With a portfolio configured (see [`Solver::set_portfolio`]), the
-    /// call races diversified worker clones and adjudicates
-    /// deterministically; otherwise it runs the plain sequential search.
+    /// The search runs in place. Whatever it answers, its learnt clauses,
+    /// variable activities and saved phases stay with the solver for the
+    /// next call, and its proof steps stay in the trace.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
-        if self.cube_jobs > 0 {
-            return self.solve_cube(assumptions);
-        }
-        if self.portfolio_workers > 0 {
-            return self.solve_portfolio(assumptions);
-        }
-        self.solve_with_core(assumptions)
-            .expect("sequential search cannot be interrupted")
+        self.solve_with_budget(assumptions, u64::MAX)
+            .expect("an unbudgeted search always answers")
     }
 
     /// RUP-probes an externally supplied clause (e.g. from a cross-design
     /// learnt-clause store) against *this* solver's database and imports
-    /// it on success, following the same discipline as the portfolio's
-    /// share-log imports: the clause is attached and `Learn`-logged only
-    /// if assuming its negation propagates to a conflict locally, so the
+    /// it on success: the clause is attached and `Learn`-logged only if
+    /// assuming its negation propagates to a conflict locally, so the
     /// proof trace stays self-contained and a mistranslated clause is
     /// merely rejected, never unsound. Must be called between solves
     /// (decision level 0). Returns `true` if the clause was imported.
@@ -672,6 +537,72 @@ impl Solver {
         imported
     }
 
+    /// The probe-then-attach step behind [`Solver::import_clause`].
+    /// Returns `true` when the clause was accepted.
+    fn import_one(&mut self, lits: &[Lit]) -> bool {
+        // Root-satisfied imports carry no information; root-false
+        // literals are stripped by the probe itself.
+        let mut filtered: Vec<Lit> = Vec::with_capacity(lits.len());
+        for &l in lits {
+            match self.lit_value(l) {
+                LBool::True => return false,
+                LBool::False => {}
+                LBool::Undef => filtered.push(l),
+            }
+        }
+        // RUP probe: assume the negation, propagate, demand a conflict.
+        // A conflict partway through (or a probe-derived true literal,
+        // which the checker's all-at-once assumption turns into a
+        // conflict) already proves the clause.
+        self.trail_lim.push(self.trail.len());
+        let mut conflict = false;
+        for &l in &filtered {
+            match self.lit_value(l) {
+                LBool::True => {
+                    conflict = true;
+                    break;
+                }
+                LBool::False => continue,
+                LBool::Undef => {
+                    self.enqueue(!l, None);
+                    if self.propagate().is_some() {
+                        conflict = true;
+                        break;
+                    }
+                }
+            }
+        }
+        self.backtrack(0);
+        if !conflict {
+            return false;
+        }
+        if self.proof.is_some() {
+            let copy = filtered.clone();
+            self.log(|| ProofStep::Learn(copy));
+        }
+        match filtered.len() {
+            0 => self.ok = false,
+            1 => match self.lit_value(filtered[0]) {
+                LBool::False => self.ok = false,
+                LBool::True => {}
+                LBool::Undef => {
+                    self.enqueue(filtered[0], None);
+                    if self.propagate().is_some() {
+                        self.ok = false;
+                    }
+                }
+            },
+            _ => {
+                let cref = self.attach_clause(filtered, true);
+                // The local LBD is 0 at the root; give the clause the
+                // glue bound of the core tier instead, so reduction
+                // treats it like a low-LBD clause of this solver.
+                self.clauses[cref as usize].lbd = 2;
+            }
+        }
+        true
+    }
+
     /// Visits every live learnt clause of length at most `max_len`, in
     /// database order. The feed for a cross-design clause store: short
     /// learnt clauses are the ones likely to transfer, and database order
@@ -686,55 +617,29 @@ impl Solver {
     }
 
     /// Solves under the given assumptions with a per-call conflict
-    /// budget, always on the plain sequential search — racing portfolio
-    /// workers have no deterministic budget semantics. Returns `None`
-    /// when the budget is exhausted before an answer; learnt clauses
-    /// from the aborted attempt are implied by the formula and stay in
-    /// the database (and in the proof trace), so the caller may simply
-    /// re-solve or fall back to a different query.
+    /// budget, on the same in-place search as [`Solver::solve_with`].
+    /// Returns `None` when the budget is exhausted before an answer;
+    /// learnt clauses from the aborted attempt are implied by the
+    /// formula and stay in the database (and in the proof trace), so the
+    /// caller may simply re-solve or fall back to a different query.
     pub fn solve_with_budget(
         &mut self,
         assumptions: &[Lit],
         conflict_budget: u64,
     ) -> Option<SolveResult> {
-        self.conflict_limit = self.stats.conflicts.saturating_add(conflict_budget);
-        let result = self.solve_with_core(assumptions);
-        self.conflict_limit = u64::MAX;
-        result
-    }
-
-    /// The sequential solve path. Returns `None` only when a portfolio
-    /// stop flag interrupted the search (worker clones only) or when a
-    /// `solve_with_budget` conflict budget ran out.
-    pub(crate) fn solve_with_core(&mut self, assumptions: &[Lit]) -> Option<SolveResult> {
-        if !self.ok {
-            return Some(SolveResult::Unsat);
-        }
-        // Assumption variables are permanently frozen (they may recur in
-        // later calls); restore any that elimination already removed.
-        for a in assumptions {
-            let v = a.var();
-            if self.eliminated[v.index()] {
-                self.restore_var(v);
-            }
-            self.frozen[v.index()] = true;
-        }
         if !self.ok {
             return Some(SolveResult::Unsat);
         }
         self.best_trail = self.trail.len();
-        let result = self.search(assumptions);
+        let conflict_limit = self.stats.conflicts.saturating_add(conflict_budget);
+        let result = self.search(assumptions, conflict_limit);
         self.backtrack(0);
         result
     }
 
-    fn should_stop(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    fn search(&mut self, assumptions: &[Lit]) -> Option<SolveResult> {
+    /// The CDCL loop. Returns `None` once `stats.conflicts` reaches
+    /// `conflict_limit` without an answer.
+    fn search(&mut self, assumptions: &[Lit], conflict_limit: u64) -> Option<SolveResult> {
         let mut conflicts_until_restart = luby(self.stats.restarts) * LUBY_UNIT;
         loop {
             if let Some(conflict) = self.propagate() {
@@ -781,7 +686,7 @@ impl Solver {
                     // instead and record the asserting literal at its
                     // real (backjump) level.
                     let current = self.decision_level();
-                    let jump = if self.chrono && current - backjump > self.chrono_threshold {
+                    let jump = if current - backjump > CHRONO_THRESHOLD {
                         self.stats.chrono_backtracks += 1;
                         current - 1
                     } else {
@@ -801,7 +706,6 @@ impl Solver {
                     learnt.swap(1, max_pos);
                     let asserting = learnt[0];
                     let cref = self.attach_clause(learnt, true);
-                    self.share_export(cref);
                     debug_assert_eq!(self.lit_value(asserting), LBool::Undef);
                     self.enqueue_at(asserting, Some(cref), backjump);
                 }
@@ -812,7 +716,7 @@ impl Solver {
                     self.reduce_db();
                     self.max_learnts *= 1.3;
                 }
-                if self.should_stop() || self.stats.conflicts >= self.conflict_limit {
+                if self.stats.conflicts >= conflict_limit {
                     return None;
                 }
             } else {
@@ -837,7 +741,7 @@ impl Solver {
                     }
                     conflicts_until_restart = luby(self.stats.restarts) * LUBY_UNIT;
                     self.maybe_rephase();
-                    if self.inprocess_enabled && self.stats.conflicts >= self.next_inprocess {
+                    if self.stats.conflicts >= self.next_inprocess {
                         self.inprocess();
                         self.next_inprocess = self.stats.conflicts
                             + (self.inprocess_interval << self.inprocessings_done());
@@ -845,11 +749,6 @@ impl Solver {
                             self.log(|| ProofStep::Learn(Vec::new()));
                             return Some(SolveResult::Unsat);
                         }
-                    }
-                    self.share_import();
-                    if !self.ok {
-                        self.log(|| ProofStep::Learn(Vec::new()));
-                        return Some(SolveResult::Unsat);
                     }
                     continue;
                 }
@@ -879,11 +778,6 @@ impl Solver {
                     }
                     Some(v) => {
                         self.stats.decisions += 1;
-                        if self.stats.decisions.is_multiple_of(STOP_POLL_DECISIONS)
-                            && self.should_stop()
-                        {
-                            return None;
-                        }
                         let lit = v.lit(self.phase[v.index()]);
                         self.trail_lim.push(self.trail.len());
                         self.enqueue(lit, None);
@@ -922,7 +816,6 @@ impl Solver {
 
     fn extract_model(&mut self) {
         self.model = self.assigns.iter().map(|&a| a == LBool::True).collect();
-        self.reconstruct_model();
         #[cfg(debug_assertions)]
         self.debug_check_model();
     }
@@ -1224,6 +1117,32 @@ mod tests {
         let proof = s.proof().expect("enabled");
         assert!(proof.len() > snapshot);
         assert_eq!(&proof.steps()[..snapshot], prefix.as_slice());
+    }
+
+    #[test]
+    fn import_clause_probes_and_attaches() {
+        let mut s = Solver::new();
+        s.enable_proof_logging();
+        let a = s.new_var();
+        let b = s.new_var();
+        let c = s.new_var();
+        s.add_clause(&[a.negative(), b.positive()]);
+        s.add_clause(&[b.negative(), c.positive()]);
+        // a → c is implied (RUP): accepted, attached, Learn-logged.
+        assert!(s.import_clause(&[a.negative(), c.positive()]));
+        assert_eq!(s.stats().reuse_probed, 1);
+        assert_eq!(s.stats().reuse_imported, 1);
+        assert!(matches!(
+            s.proof().expect("enabled").steps().last(),
+            Some(ProofStep::Learn(_))
+        ));
+        // a → ¬c is not implied: probed, rejected, nothing logged.
+        let len = s.proof_len();
+        assert!(!s.import_clause(&[a.negative(), c.negative()]));
+        assert_eq!(s.stats().reuse_probed, 2);
+        assert_eq!(s.stats().reuse_imported, 1);
+        assert_eq!(s.proof_len(), len);
+        assert_eq!(s.solve(), SolveResult::Sat);
     }
 
     /// Brute-force evaluation of a CNF for cross-checking.

@@ -24,20 +24,6 @@ pub struct SolverStats {
     pub strengthened: u64,
     /// Clauses deleted because another clause subsumes them.
     pub subsumed: u64,
-    /// Variables removed by bounded variable elimination (net of
-    /// restorations).
-    pub eliminated_vars: u64,
-    /// Learnt clauses imported from portfolio peers (after the local RUP
-    /// probe accepted them).
-    pub shared_imported: u64,
-    /// Low-LBD learnt clauses exported to portfolio peers.
-    pub shared_exported: u64,
-    /// Leaf cubes produced by the lookahead cuber (see `cube.rs`).
-    pub cubes_generated: u64,
-    /// Cubes conquered UNSAT (counted deterministically: every cube in an
-    /// all-UNSAT split, and exactly the cubes below the winning index in a
-    /// SAT split).
-    pub cubes_refuted: u64,
     /// Cross-design store clauses RUP-probed against this solver.
     pub reuse_probed: u64,
     /// Cross-design store clauses accepted by the probe and imported.
@@ -50,7 +36,7 @@ pub struct SolverStats {
 
 impl SolverStats {
     /// Folds another solver's statistics into this one. Used to aggregate
-    /// across engines (one per design) or across parallel workers.
+    /// across engines (one per design).
     pub fn merge(&mut self, other: &SolverStats) {
         self.conflicts += other.conflicts;
         self.decisions += other.decisions;
@@ -62,47 +48,8 @@ impl SolverStats {
         self.vivified += other.vivified;
         self.strengthened += other.strengthened;
         self.subsumed += other.subsumed;
-        self.eliminated_vars += other.eliminated_vars;
-        self.shared_imported += other.shared_imported;
-        self.shared_exported += other.shared_exported;
-        self.cubes_generated += other.cubes_generated;
-        self.cubes_refuted += other.cubes_refuted;
         self.reuse_probed += other.reuse_probed;
         self.reuse_imported += other.reuse_imported;
         self.proof_bytes += other.proof_bytes;
-    }
-
-    /// Per-field difference against an earlier snapshot of the same
-    /// counters (used to attribute portfolio-worker work to a race).
-    pub(crate) fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            conflicts: self.conflicts - earlier.conflicts,
-            decisions: self.decisions - earlier.decisions,
-            propagations: self.propagations - earlier.propagations,
-            restarts: self.restarts - earlier.restarts,
-            // `learnt_clauses` is a level, not a counter: a delta would go
-            // negative when the race reduced the database. Report the
-            // worker's growth clamped at zero.
-            learnt_clauses: self.learnt_clauses.saturating_sub(earlier.learnt_clauses),
-            chrono_backtracks: self.chrono_backtracks - earlier.chrono_backtracks,
-            rephases: self.rephases - earlier.rephases,
-            vivified: self.vivified - earlier.vivified,
-            strengthened: self.strengthened - earlier.strengthened,
-            subsumed: self.subsumed - earlier.subsumed,
-            eliminated_vars: self.eliminated_vars.saturating_sub(earlier.eliminated_vars),
-            shared_imported: self.shared_imported - earlier.shared_imported,
-            shared_exported: self.shared_exported - earlier.shared_exported,
-            cubes_generated: self.cubes_generated - earlier.cubes_generated,
-            cubes_refuted: self.cubes_refuted - earlier.cubes_refuted,
-            reuse_probed: self.reuse_probed - earlier.reuse_probed,
-            reuse_imported: self.reuse_imported - earlier.reuse_imported,
-            proof_bytes: self.proof_bytes - earlier.proof_bytes,
-        }
-    }
-}
-
-impl std::ops::AddAssign for SolverStats {
-    fn add_assign(&mut self, rhs: SolverStats) {
-        self.merge(&rhs);
     }
 }

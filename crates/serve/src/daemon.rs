@@ -196,8 +196,10 @@ pub fn process_job(
     let study = resolve_study(job)?;
     match job.mode {
         JobMode::Full => {
-            let report = fastpath::run_fastpath_with(&study, flow_options(store, clauses));
+            // The manifest depends on the design alone. Writing it first
+            // lets the flow's closing read of the store's size count it.
             store.store_manifest(&name_key(&job.name), &cone_manifest(&study.instance.module));
+            let report = fastpath::run_fastpath_with(&study, flow_options(store, clauses));
             Ok(JobOutcome {
                 name: job.name.clone(),
                 verdict: report.verdict.clone(),
@@ -282,6 +284,11 @@ fn run_cones(
         });
     }
     store.store_manifest(&name_key(&job.name), &manifest);
+    // Each cone flow read the store's size before its verdict and this
+    // manifest were written: report the size the job leaves behind.
+    let usage = store.usage();
+    outcome.cache.bytes = usage.bytes;
+    outcome.cache.evictions = usage.evictions;
     outcome.verdict = merge_verdicts(outcome.cones.iter().map(|c| &c.verdict));
     Ok(outcome)
 }
@@ -354,6 +361,31 @@ mod tests {
             "the failed claim stays in work/"
         );
         assert_eq!(done, vec![ids[1].clone()]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_cold_job_reports_the_store_size_it_leaves() {
+        let root = std::env::temp_dir().join(format!("fastpath-bytes-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let store = Arc::new(DiskStore::open(root.join("store")).expect("open"));
+        let clauses = Arc::new(ClauseStore::open(root.join("clauses.txt")));
+        for (name, mode) in [("full", JobMode::Full), ("cones", JobMode::Cones)] {
+            let job = Job {
+                name: name.to_string(),
+                mode,
+                cycles: None,
+                seed: None,
+                source: JobSource::Study("ZipCPU-DIV".to_string()),
+            };
+            let outcome = process_job(&store, &clauses, &job).expect("job runs");
+            assert!(outcome.cache.bytes > 0, "{name}: the job wrote entries");
+            assert_eq!(
+                outcome.cache.bytes,
+                store.gc(u64::MAX).bytes_before,
+                "{name}: reported size against a full inventory"
+            );
+        }
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -64,51 +64,6 @@ fn certified_table_is_byte_identical_across_jobs() {
 }
 
 #[test]
-fn table_is_byte_identical_across_sat_portfolio_widths() {
-    // The portfolio races diversified solver clones inside each UPEC
-    // check; worker 0 is the sequential configuration and SAT answers
-    // are adopted from it wholesale, so verdicts, methods, and
-    // inspection counts — the whole rendered table — must not move by
-    // a byte for any width. Certification stays on to prove the
-    // spliced portfolio traces still replay.
-    let studies = studies();
-    let opts = |sat_portfolio| Table1Options {
-        sat_portfolio,
-        certify: true,
-        ..Table1Options::default()
-    };
-    let sequential = run_table1(&studies, &opts(0));
-    assert!(
-        !sequential.contains("NOT CERTIFIED") && !sequential.contains("FAILURE"),
-        "every verdict must certify:\n{sequential}"
-    );
-    for width in [1, 2, 3] {
-        let raced = run_table1(&studies, &opts(width));
-        assert_eq!(
-            sequential, raced,
-            "output differs between sequential and --sat-portfolio {width}"
-        );
-    }
-}
-
-#[test]
-fn portfolio_and_jobs_compose_deterministically() {
-    let studies = studies();
-    let opts = |jobs, sat_portfolio| Table1Options {
-        jobs,
-        sat_portfolio,
-        markdown: true,
-        ..Table1Options::default()
-    };
-    let sequential = run_table1(&studies, &opts(1, 0));
-    let both = run_table1(&studies, &opts(4, 2));
-    assert_eq!(
-        sequential, both,
-        "output differs under --jobs 4 --sat-portfolio 2"
-    );
-}
-
-#[test]
 fn text_table_with_design_filter_is_byte_identical_across_jobs() {
     let studies = studies();
     let opts = |jobs| Table1Options {

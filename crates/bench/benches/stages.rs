@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fastpath_bench::{run_table1, Table1Options};
 use fastpath_formal::{ElaborationMode, Upec2Safety, UpecEncoding, UpecSpec};
 use fastpath_hfg::{extract_hfg, PathQuery};
-use fastpath_sim::{IftSimulation, RandomTestbench, SimEngine, SimTape};
+use fastpath_sim::{IftSimulation, RandomTestbench, SimTape};
 use std::sync::Arc;
 
 fn bench_hfg(c: &mut Criterion) {
@@ -61,9 +61,7 @@ fn bench_sim(c: &mut Criterion) {
         group.bench_function(format!("interp/{}", study.name), |b| {
             b.iter(|| {
                 let mut tb = RandomTestbench::new(module, seed);
-                IftSimulation::new(200)
-                    .run_with_engine(module, &mut tb, SimEngine::Interp)
-                    .cycles_run
+                IftSimulation::new(200).run(module, &mut tb).cycles_run
             });
         });
         let tape = Arc::new(SimTape::compile(module));

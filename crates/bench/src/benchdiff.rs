@@ -6,9 +6,12 @@
 //! both the fastpath and the exhaustive baseline, per design — **gate**:
 //! any drift fails the job, because those numbers are the paper's
 //! Table I and must only change deliberately (with a baseline update in
-//! the same PR). Wall-clock numbers are machine-dependent, so they are
-//! **report-only**: slowdowns beyond a generous tolerance are called out
-//! in the summary but never fail the job.
+//! the same PR). The deterministic work counters gate the same way when
+//! both records carry them: product size, solver conflicts and
+//! propagations, and IC3 propagations. Wall-clock numbers are
+//! machine-dependent, so they are **report-only**: slowdowns beyond a
+//! generous tolerance are called out in the summary but never fail the
+//! job.
 //!
 //! The workspace vendors no serde, so the record is parsed with the
 //! minimal JSON reader below (sufficient for the machine-generated
@@ -233,22 +236,20 @@ pub struct SideRecord {
     /// Wall-clock seconds (report-only).
     pub wall_s: f64,
     /// Hinted backward certification seconds (report-only; zero for
-    /// records predating the split and for `--cert-forward` runs).
+    /// records predating the split).
     pub cert_backward_s: f64,
-    /// Forward DRUP-replay certification seconds (report-only; zero
-    /// unless the run used `--cert-forward`).
-    pub cert_forward_s: f64,
-    /// Per-technique solver counters (report-only; `None` for records
-    /// predating them).
+    /// SAT-solver counters (`None` for records predating them). Conflicts
+    /// and propagations are **gated** when both sides carry them; the
+    /// technique counters are report-only.
     pub solver: Option<SolverCounters>,
     /// Proof-cache counters (report-only; `None` for cache-less runs and
     /// records predating the cache).
     pub cache: Option<CacheCounters>,
-    /// SecIC3 engine counters (report-only; `None` for `--upec-engine
-    /// induction` runs, runs that never escalated, and records predating
-    /// the engine). Like the cache counters they legitimately differ
-    /// between cold and warm (invariant-cache-served) runs, so they
-    /// never gate.
+    /// SecIC3 engine counters (`None` for `--upec-engine induction`
+    /// runs, runs that never escalated, and records predating the
+    /// engine). Propagations are **gated** when both sides carry them;
+    /// the rest is report-only. A warm (invariant-cache-served) run
+    /// legitimately drops the section, which only warns.
     pub ic3: Option<Ic3Counters>,
     /// Product-construction size counters (`None` for records predating
     /// them). **Gated** when both sides carry them: the counts are
@@ -269,9 +270,9 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-/// Report-only SecIC3 counters from the `ic3` object of a bench record
-/// (present only when at least one cold IC3 discharge attempt ran).
-/// Absent fields parse as zero.
+/// SecIC3 counters from the `ic3` object of a bench record (present only
+/// when at least one cold IC3 discharge attempt ran); `propagations`
+/// gates, the rest is report-only. Absent fields parse as zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[allow(missing_docs)]
 pub struct Ic3Counters {
@@ -301,13 +302,15 @@ pub struct ProductCounters {
     pub word_fallbacks: u64,
 }
 
-/// Report-only SAT-solver technique counters from the `solver` object of
-/// a bench record. Absent fields parse as zero so records from before a
+/// SAT-solver counters from the `solver` object of a bench record:
+/// `conflicts` and `propagations` gate, the technique counters are
+/// report-only. Absent fields parse as zero so records from before a
 /// counter was introduced still load.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[allow(missing_docs)]
 pub struct SolverCounters {
     pub conflicts: u64,
+    pub propagations: u64,
     pub chrono_backtracks: u64,
     pub vivified: u64,
     pub strengthened: u64,
@@ -370,14 +373,11 @@ pub fn parse_bench_record(text: &str) -> Result<Vec<DesignRecord>, String> {
                         .get("formal")
                         .and_then(|f| f.num("cert_backward_s"))
                         .unwrap_or(0.0),
-                    cert_forward_s: s
-                        .get("formal")
-                        .and_then(|f| f.num("cert_forward_s"))
-                        .unwrap_or(0.0),
                     solver: s.get("solver").map(|sv| {
                         let n = |k: &str| sv.num(k).unwrap_or(0.0) as u64;
                         SolverCounters {
                             conflicts: n("conflicts"),
+                            propagations: n("propagations"),
                             chrono_backtracks: n("chrono_backtracks"),
                             vivified: n("vivified"),
                             strengthened: n("strengthened"),
@@ -436,8 +436,8 @@ pub fn parse_bench_record(text: &str) -> Result<Vec<DesignRecord>, String> {
 /// Result of diffing a fresh record against the committed baseline.
 #[derive(Clone, Debug, Default)]
 pub struct BenchDiff {
-    /// Gating drifts: verdict/method/inspections changes, missing or
-    /// extra designs. Non-empty fails CI.
+    /// Gating drifts: verdict/method/inspections and work-counter
+    /// changes, missing or extra designs. Non-empty fails CI.
     pub regressions: Vec<String>,
     /// Report-only notes (wall-clock slowdowns beyond tolerance).
     pub warnings: Vec<String>,
@@ -526,6 +526,23 @@ fn diff_side(design: &str, side: &str, old: &SideRecord, new: &SideRecord, out: 
             }
         }
     }
+    // So are the search's work counters: a change to the SAT core or to
+    // IC3 moves them before anything else, so they gate the same way.
+    let work = |r: &SideRecord| {
+        [
+            ("solver conflicts", r.solver.map(|s| s.conflicts)),
+            ("solver propagations", r.solver.map(|s| s.propagations)),
+            ("ic3 propagations", r.ic3.map(|i| i.propagations)),
+        ]
+    };
+    for ((field, a), (_, b)) in work(old).into_iter().zip(work(new)) {
+        if let (Some(a), Some(b)) = (a, b) {
+            if a != b {
+                out.regressions
+                    .push(format!("{design} [{side}]: {field} drifted {a} -> {b}"));
+            }
+        }
+    }
 }
 
 /// Diffs `new` against `old` (both `--bench-json` texts).
@@ -578,8 +595,9 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
                 .push(format!("{}: not in committed baseline", n.design));
         }
     }
-    // Report-only: per-technique solver counters (baseline side — the
-    // solver-bound run), base→cur where the committed record has them.
+    // Solver counters (baseline side — the solver-bound run), base→cur
+    // where the committed record has them; conflicts and propagations
+    // are gated in `diff_side`, the technique counters are report-only.
     let counted: Vec<_> = new
         .iter()
         .filter_map(|n| n.baseline.solver.map(|s| (n, s)))
@@ -587,13 +605,14 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
     if !counted.is_empty() {
         let _ = writeln!(
             out.markdown,
-            "\nSolver technique counters (baseline side, report-only):\n"
+            "\nSolver technique counters (baseline side; conflicts and \
+             propagations gated, the rest report-only):\n"
         );
         let _ = writeln!(
             out.markdown,
-            "| Design | Conflicts | Chrono | Vivified | Strengthened | Subsumed |",
+            "| Design | Conflicts | Propagations | Chrono | Vivified | Strengthened | Subsumed |",
         );
-        let _ = writeln!(out.markdown, "|---|---|---|---|---|---|");
+        let _ = writeln!(out.markdown, "|---|---|---|---|---|---|---|");
         for (n, s) in counted {
             let base = old
                 .iter()
@@ -605,9 +624,10 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
             };
             let _ = writeln!(
                 out.markdown,
-                "| {} | {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | {} | {} | {} | {} |",
                 n.design,
                 cell(base.map(|b| b.conflicts), s.conflicts),
+                cell(base.map(|b| b.propagations), s.propagations),
                 cell(base.map(|b| b.chrono_backtracks), s.chrono_backtracks),
                 cell(base.map(|b| b.vivified), s.vivified),
                 cell(base.map(|b| b.strengthened), s.strengthened),
@@ -659,17 +679,14 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
         }
     }
     // Report-only: clause-reuse counters plus the certification time
-    // split (baseline side — the run that performs every check). Reuse
-    // counts depend on how warm the `--clause-store` file is, and the
-    // hint/forward seconds on the machine — none of them gate.
+    // (baseline side — the run that performs every check). Reuse counts
+    // depend on how warm the `--clause-store` file is, and the seconds
+    // on the machine — none of them gate.
     let reused: Vec<_> = new
         .iter()
         .filter_map(|n| n.baseline.solver.map(|s| (n, s)))
         .filter(|(n, s)| {
-            s.reuse_probed > 0
-                || s.proof_bytes > 0
-                || n.baseline.cert_backward_s > 0.0
-                || n.baseline.cert_forward_s > 0.0
+            s.reuse_probed > 0 || s.proof_bytes > 0 || n.baseline.cert_backward_s > 0.0
         })
         .collect();
     if !reused.is_empty() {
@@ -680,27 +697,26 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
         let _ = writeln!(
             out.markdown,
             "| Design | Clauses probed/imported/rejected | \
-             Proof bytes | Hint-check (s) | Forward-check (s) |",
+             Proof bytes | Hint-check (s) |",
         );
-        let _ = writeln!(out.markdown, "|---|---|---|---|---|");
+        let _ = writeln!(out.markdown, "|---|---|---|---|");
         for (n, s) in reused {
             let _ = writeln!(
                 out.markdown,
-                "| {} | {}/{}/{} | {} | {:.3} | {:.3} |",
+                "| {} | {}/{}/{} | {} | {:.3} |",
                 n.design,
                 s.reuse_probed,
                 s.reuse_imported,
                 s.reuse_probed.saturating_sub(s.reuse_imported),
                 s.proof_bytes,
                 n.baseline.cert_backward_s,
-                n.baseline.cert_forward_s,
             );
         }
     }
-    // Report-only: SecIC3 engine counters (fastpath side), for
-    // `--upec-engine ic3` runs that escalated cold. Never gates —
+    // SecIC3 engine counters (fastpath side), for `--upec-engine ic3`
+    // runs that escalated cold. Propagations are gated in `diff_side`;
     // warm invariant-cache runs legitimately drop the whole section
-    // while every semantic field stays fixed.
+    // while every semantic field stays fixed, which only warns.
     let escalated: Vec<_> = new
         .iter()
         .filter_map(|n| n.fastpath.ic3.map(|i| (n, i)))
@@ -708,7 +724,8 @@ pub fn diff_bench_records(old_text: &str, new_text: &str) -> Result<BenchDiff, S
     if !escalated.is_empty() {
         let _ = writeln!(
             out.markdown,
-            "\nSecIC3 counters (fastpath side, report-only):\n"
+            "\nSecIC3 counters (fastpath side; propagations gated, the rest \
+             report-only):\n"
         );
         let _ = writeln!(
             out.markdown,
@@ -763,8 +780,7 @@ mod tests {
     use super::*;
 
     const MINI: &str = r#"{
-      "generator": "table1 --bench-json", "sim_engine": "compiled",
-      "jobs": 1,
+      "generator": "table1 --bench-json", "jobs": 1,
       "designs": [
         {"design": "A", "fastpath": {"wall_s": 0.1, "verdict": "True",
           "method": "HFG", "inspections": 0},
@@ -818,7 +834,7 @@ mod tests {
         let rows = parse_bench_record(MINI).expect("parses");
         assert!(rows[0].baseline.solver.is_none());
         // Records with a partial `solver` object default absent counters
-        // to zero and never gate.
+        // to zero, and gate nothing against a record without them.
         let with_counters = MINI.replace(
             r#""method": "UPEC", "inspections": 32}"#,
             r#""method": "UPEC", "inspections": 32,
@@ -832,7 +848,8 @@ mod tests {
         let diff = diff_bench_records(MINI, &with_counters).expect("diff");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
         assert!(diff.markdown.contains("Solver technique counters"));
-        // Counter drift against a counted baseline is annotated, not gated.
+        // Technique-counter drift against a counted baseline is
+        // annotated, not gated.
         let drifted = with_counters.replace(r#""vivified": 3"#, r#""vivified": 7"#);
         let diff = diff_bench_records(&with_counters, &drifted).expect("diff");
         assert!(diff.regressions.is_empty());
@@ -849,8 +866,7 @@ mod tests {
         let reused = MINI.replace(
             r#""method": "UPEC", "inspections": 32}"#,
             r#""method": "UPEC", "inspections": 32,
-               "formal": {"checks": 4, "cert_backward_s": 0.25,
-                 "cert_forward_s": 0.0},
+               "formal": {"checks": 4, "cert_backward_s": 0.25},
                "solver": {"conflicts": 10, "reuse_probed": 9,
                  "reuse_imported": 5, "proof_bytes": 4096}}"#,
         );
@@ -910,8 +926,8 @@ mod tests {
         // Pre-SecIC3 records (MINI) parse with `ic3: None`.
         let rows = parse_bench_record(MINI).expect("parses");
         assert!(rows[0].fastpath.ic3.is_none());
-        // An escalated `--upec-engine ic3` record gains a report-only
-        // section; counter drift between runs never gates.
+        // An escalated `--upec-engine ic3` record gains a section whose
+        // counters, apart from propagations, never gate.
         let cold = MINI.replace(
             r#""method": "HFG", "inspections": 0}"#,
             r#""method": "HFG", "inspections": 0,
@@ -932,9 +948,7 @@ mod tests {
             "{}",
             diff.markdown
         );
-        let drifted = cold
-            .replace(r#""lemmas": 14"#, r#""lemmas": 20"#)
-            .replace(r#""propagations": 345678"#, r#""propagations": 999999"#);
+        let drifted = cold.replace(r#""lemmas": 14"#, r#""lemmas": 20"#);
         let diff = diff_bench_records(&cold, &drifted).expect("diff");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
         // A warm (invariant-cache-served) run drops the whole section:
@@ -976,6 +990,59 @@ mod tests {
         assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
         assert!(diff.regressions[0].contains("check_sat_vars drifted 500 -> 425"));
         assert!(diff.markdown.contains("500→425"));
+    }
+
+    /// MINI with work counters on both sides of design A.
+    fn with_work(conflicts: u64, propagations: u64, ic3_propagations: u64) -> String {
+        MINI.replace(
+            r#""method": "HFG", "inspections": 0}"#,
+            &format!(
+                r#""method": "HFG", "inspections": 0,
+               "ic3": {{"attempts": 2, "propagations": {ic3_propagations}}}}}"#
+            ),
+        )
+        .replace(
+            r#""method": "UPEC", "inspections": 32}"#,
+            &format!(
+                r#""method": "UPEC", "inspections": 32,
+               "solver": {{"conflicts": {conflicts}, "propagations": {propagations},
+                 "vivified": 3}}}}"#
+            ),
+        )
+    }
+
+    #[test]
+    fn work_counters_gate_on_any_drift() {
+        let base = with_work(1000, 50_000, 345_678);
+        let rows = parse_bench_record(&base).expect("parses");
+        let s = rows[0].baseline.solver.expect("present");
+        assert_eq!((s.conflicts, s.propagations), (1000, 50_000));
+        // An identical pair stays clean.
+        let diff = diff_bench_records(&base, &base).expect("diff");
+        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
+        assert!(diff.warnings.is_empty(), "{:?}", diff.warnings);
+        // A 20 % rise in one flow's conflicts gates.
+        let diff = diff_bench_records(&base, &with_work(1200, 50_000, 345_678)).expect("diff");
+        assert_eq!(
+            diff.regressions,
+            ["A [baseline]: solver conflicts drifted 1000 -> 1200"]
+        );
+        assert!(diff.markdown.contains("1000→1200"), "{}", diff.markdown);
+        // So does any change in propagations, the solver's or IC3's.
+        let diff = diff_bench_records(&base, &with_work(1000, 49_999, 345_678)).expect("diff");
+        assert_eq!(
+            diff.regressions,
+            ["A [baseline]: solver propagations drifted 50000 -> 49999"]
+        );
+        let diff = diff_bench_records(&base, &with_work(1000, 50_000, 345_679)).expect("diff");
+        assert_eq!(
+            diff.regressions,
+            ["A [fastpath]: ic3 propagations drifted 345678 -> 345679"]
+        );
+        // A technique counter still only annotates.
+        let drifted = base.replace(r#""vivified": 3"#, r#""vivified": 9"#);
+        let diff = diff_bench_records(&base, &drifted).expect("diff");
+        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!   bench_diff BASELINE.json CURRENT.json
 //!
 //! Verdict, completing method, and inspection counts must match the
-//! baseline exactly for every design — any drift prints a `REGRESSION`
+//! baseline exactly for every design, and so must the deterministic work
+//! counters both records carry (product size, solver conflicts and
+//! propagations, IC3 propagations) — any drift prints a `REGRESSION`
 //! line and exits 1 (update `BENCH_table1.json` in the same PR if the
 //! change is intentional). Wall-clock is machine-dependent and only
 //! reported. A markdown summary table is always printed for the CI job

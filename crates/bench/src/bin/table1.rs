@@ -21,10 +21,6 @@
 //!                with --certify, write each check's DIMACS formula and
 //!                DRUP proof / model into DIR for external checkers
 //!                (e.g. drat-trim)
-//!   --sim-engine interp|compiled
-//!                simulation backend for the IFT stage (default:
-//!                compiled; the table output is byte-identical between
-//!                the two)
 //!   --bench-json PATH
 //!                write a machine-readable per-design benchmark record
 //!                (wall-clock, sim cycles/s, solver stats) to PATH
@@ -50,10 +46,6 @@
 //!                engine, whose certified relational-invariant discharges
 //!                can convert constrained verdicts into proved ones;
 //!                induction is the escalation-free reference oracle
-//!   --cert-forward
-//!                certify by forward DRUP replay instead of the default
-//!                hinted backward check (table output is identical;
-//!                only certification wall-clock moves)
 //!   --clause-store PATH
 //!                persist learnt clauses keyed by canonical cone hash in
 //!                PATH and RUP-probe them for reuse in later runs —
@@ -94,17 +86,6 @@ fn main() {
                     std::process::exit(2);
                 })
         }),
-        sim_engine: args
-            .iter()
-            .position(|a| a == "--sim-engine")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or_default(),
         bench_json: args.iter().position(|a| a == "--bench-json").map(|i| {
             args.get(i + 1)
                 .map(std::path::PathBuf::from)
@@ -143,7 +124,6 @@ fn main() {
                 })
             })
             .unwrap_or(fastpath::UpecEngine::Ic3),
-        cert_forward: args.iter().any(|a| a == "--cert-forward"),
         clause_store: args.iter().position(|a| a == "--clause-store").map(|i| {
             args.get(i + 1)
                 .map(std::path::PathBuf::from)

@@ -12,7 +12,7 @@ pub mod benchdiff;
 use fastpath::parallel::run_ordered;
 use fastpath::{
     effort_reduction, run_baseline_with, run_fastpath_with, CaseStudy, FlowOptions, FlowReport,
-    PairwiseAnalysis, SimEngine, UpecEncoding, UpecEngine,
+    PairwiseAnalysis, UpecEncoding, UpecEngine,
 };
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
@@ -42,10 +42,6 @@ pub struct Table1Options {
     /// With [`certify`](Self::certify), dump per-check DIMACS/DRUP/model
     /// files into this directory (`--dump-artifacts DIR`).
     pub dump_artifacts: Option<PathBuf>,
-    /// Simulation backend for every IFT run (`--sim-engine
-    /// interp|compiled`). The rendered table is byte-identical between
-    /// the two — the equivalence smoke test in CI relies on it.
-    pub sim_engine: SimEngine,
     /// Write a machine-readable per-design benchmark record (wall-clock,
     /// sim cycles/s, solver stats) to this path (`--bench-json PATH`).
     /// Timing data goes only into the file, never into the rendered
@@ -68,11 +64,6 @@ pub struct Table1Options {
     /// verdicts into proved ones; `induction` is the escalation-free
     /// reference oracle.
     pub upec_engine: UpecEngine,
-    /// Certify by forward DRUP replay instead of the default hinted
-    /// backward check (`--cert-forward`). The rendered table is
-    /// byte-identical either way — only the certification wall-clock
-    /// buckets in `--bench-json` move.
-    pub cert_forward: bool,
     /// Persistent learnt-clause store file (`--clause-store PATH`).
     /// Clauses learnt over a register's canonical input cone are exported
     /// after every run and RUP-probed for import into later runs over
@@ -94,12 +85,10 @@ impl Default for Table1Options {
             only: None,
             certify: false,
             dump_artifacts: None,
-            sim_engine: SimEngine::default(),
             bench_json: None,
             proof_cache: None,
             upec_encoding: UpecEncoding::Words,
             upec_engine: UpecEngine::Ic3,
-            cert_forward: false,
             clause_store: None,
         }
     }
@@ -139,11 +128,9 @@ pub fn run_table1(studies: &[CaseStudy], opts: &Table1Options) -> String {
     let flow_options = FlowOptions {
         certify: opts.certify,
         dump_artifacts: opts.dump_artifacts.clone(),
-        sim_engine: opts.sim_engine,
         cache,
         upec_encoding: opts.upec_encoding,
         upec_engine: opts.upec_engine,
-        cert_forward: opts.cert_forward,
         clause_store: clause_store.clone(),
         ..FlowOptions::default()
     };
@@ -193,8 +180,8 @@ pub fn run_table1(studies: &[CaseStudy], opts: &Table1Options) -> String {
 }
 
 /// Writes the `--bench-json` per-design benchmark record: wall-clock per
-/// run, simulation throughput (the engine, run/cycle counts, and
-/// cycles/s), formal timings, and solver statistics — everything needed
+/// run, simulation throughput (run/cycle counts and cycles/s), formal
+/// timings, and solver statistics — everything needed
 /// to track the perf trajectory across PRs without parsing the table.
 fn write_bench_json(
     path: &Path,
@@ -252,12 +239,11 @@ fn write_bench_json(
             out,
             "{{\"wall_s\": {wall_s:.6}, \"verdict\": \"{}\", \
              \"method\": \"{}\", \"inspections\": {}, \
-             \"sim\": {{\"engine\": \"{}\", \"runs\": {}, \
-             \"cycles\": {}, \"wall_s\": {:.6}, \
-             \"cycles_per_s\": {:.1}}}, \
+             \"sim\": {{\"runs\": {}, \"cycles\": {}, \
+             \"wall_s\": {:.6}, \"cycles_per_s\": {:.1}}}, \
              \"formal\": {{\"checks\": {}, \"elaboration_s\": {:.6}, \
-             \"checks_s\": {:.6}, \"cert_backward_s\": {:.6}, \
-             \"cert_forward_s\": {:.6}}}, {cache}{ic3}{product}\
+             \"checks_s\": {:.6}, \"cert_backward_s\": {:.6}}}, \
+             {cache}{ic3}{product}\
              \"solver\": {{\"conflicts\": {}, \"decisions\": {}, \
              \"propagations\": {}, \"restarts\": {}, \
              \"learnt_clauses\": {}, \"chrono_backtracks\": {}, \
@@ -268,7 +254,6 @@ fn write_bench_json(
             report.verdict,
             report.method,
             report.manual_inspections,
-            report.sim.engine,
             report.sim.runs,
             report.sim.cycles,
             sim_s,
@@ -277,7 +262,6 @@ fn write_bench_json(
             t.formal_elaboration.as_secs_f64(),
             t.formal_checks.as_secs_f64(),
             t.cert_backward.as_secs_f64(),
-            t.cert_forward.as_secs_f64(),
             s.conflicts,
             s.decisions,
             s.propagations,
@@ -298,9 +282,9 @@ fn write_bench_json(
     let _ = writeln!(
         out,
         "  \"generator\": \"table1 --bench-json\",\n  \
-         \"sim_engine\": \"{}\",\n  \"upec_encoding\": \"{}\",\n  \
-         \"upec_engine\": \"{}\",\n  \"jobs\": {},\n  \"designs\": [",
-        opts.sim_engine, opts.upec_encoding, opts.upec_engine, opts.jobs
+         \"upec_encoding\": \"{}\",\n  \"upec_engine\": \"{}\",\n  \
+         \"jobs\": {},\n  \"designs\": [",
+        opts.upec_encoding, opts.upec_engine, opts.jobs
     );
     for (i, study) in selected.iter().enumerate() {
         let _ = write!(

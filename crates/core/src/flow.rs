@@ -21,7 +21,9 @@
 //!    vulnerability; otherwise the divergence is legal data propagation and
 //!    the divergent signals leave `Z'` (one inspection each).
 //!
-//! The formal-only baseline of [22] is in [`run_baseline`](crate::run_baseline).
+//! The formal-only baseline of [22] ([`run_baseline`](crate::run_baseline))
+//! runs the same loop under a plan of its own: no structural or simulation
+//! stage, and a state-only check before each full one.
 
 use crate::cache::{self, CacheKind, CacheStats, CheckKind, ProofCache};
 use crate::report::{
@@ -39,7 +41,7 @@ use fastpath_formal::{
 use fastpath_hfg::{extract_hfg, PathQuery};
 use fastpath_rtl::{CanonicalForm, Digest, ExprId, Module, SignalId};
 use fastpath_sat::SolverStats;
-use fastpath_sim::{IftReport, IftSimulation, RandomTestbench, SimEngine, SimTape};
+use fastpath_sim::{IftReport, IftSimulation, RandomTestbench, SimTape};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -55,8 +57,8 @@ pub struct FlowOptions {
     /// Skip the structural early-exit check (Sec. IV-A).
     pub skip_hfg: bool,
     /// Skip IFT simulation: the formal stage starts from `Z' = Z` like the
-    /// original UPEC-DIT (constraint/policy derivation then happens purely
-    /// on formal counterexamples).
+    /// original UPEC-DIT, derives constraints and policy purely from
+    /// formal counterexamples, and keeps `Z'` across a derived constraint.
     pub skip_ift_seeding: bool,
     /// Independently certify every UPEC verdict: UNSAT answers are
     /// replayed through the `fastpath-cert` RUP proof checker, SAT
@@ -68,17 +70,6 @@ pub struct FlowOptions {
     /// formula plus its DRUP proof or model into this directory, in
     /// formats external checkers such as `drat-trim` consume.
     pub dump_artifacts: Option<PathBuf>,
-    /// Simulation backend for every IFT run of the flow: the compiled
-    /// instruction tape by default, or the interpretive oracle for
-    /// cross-checking. The tape is compiled once per design instance and
-    /// reused across all constraint/policy trial re-simulations.
-    pub sim_engine: SimEngine,
-    /// With [`certify`](Self::certify), certify through forward replay
-    /// with full DRUP artifact renders instead of the default hinted
-    /// backward checking (trim to the UNSAT core, emit LRAT-style hints
-    /// inline). Verdicts and reports are identical either way; only
-    /// certification wall-clock and artifact formats change.
-    pub cert_forward: bool,
     /// Persistent learnt-clause store: clauses recorded by earlier runs
     /// over structurally identical next-state cones are RUP-probed into
     /// each design's solver, and this run's own short cone-local learnt
@@ -125,8 +116,6 @@ impl Default for FlowOptions {
             skip_ift_seeding: false,
             certify: false,
             dump_artifacts: None,
-            sim_engine: SimEngine::default(),
-            cert_forward: false,
             clause_store: None,
             cache: None,
             // Word-level guarded predicates are the production default;
@@ -147,420 +136,131 @@ pub fn run_fastpath(study: &CaseStudy) -> FlowReport {
 
 /// Runs the FastPath flow with ablation options.
 pub fn run_fastpath_with(study: &CaseStudy, options: FlowOptions) -> FlowReport {
-    let mut ctx = FlowContext::new(study);
-    ctx.sim_engine = options.sim_engine;
-    ctx.cache = options.cache.clone();
-    if options.certify || ctx.cache.is_some() {
-        ctx.certification = Some(CertificationSummary::default());
-    }
+    let plan = FlowPlan {
+        tag: "fastpath",
+        structural: !options.skip_hfg,
+        simulate: !options.skip_ift_seeding,
+        checks: &[CheckKind::Full],
+    };
+    run_flow(study, &options, &plan)
+}
+
+/// What sets one refinement flow apart from another. The FastPath flow
+/// and the formal-only baseline differ only in these; everything else is
+/// [`run_flow`].
+pub(crate) struct FlowPlan {
+    /// Names the flow in dumped artifact files.
+    pub(crate) tag: &'static str,
+    /// Run structural analysis (stage 1) first.
+    pub(crate) structural: bool,
+    /// Seed `Z'` by IFT simulation (stage 2), and simulate again when the
+    /// formal stage derives a constraint, since `Z'` may then grow. A flow
+    /// that does not simulate starts from `Z' = Z` and keeps `Z'` across a
+    /// derived constraint.
+    pub(crate) simulate: bool,
+    /// The properties each refinement step checks, in order: the step
+    /// answers with the first counterexample, or holds once all hold.
+    pub(crate) checks: &'static [CheckKind],
+}
+
+/// How the refinement of one design instance ended.
+struct Exit {
+    verdict: Verdict,
+    method: CompletionMethod,
+    ift_propagations: Option<usize>,
+    total_propagations: Option<usize>,
+}
+
+/// Runs a refinement flow on a case study, switching once to the fixed
+/// design variant after a confirmed leak.
+pub(crate) fn run_flow(study: &CaseStudy, options: &FlowOptions, plan: &FlowPlan) -> FlowReport {
+    let mut ctx = FlowContext::new(study, options);
     let mut instance = &study.instance;
     let mut fixed_used = false;
-
-    'design: loop {
-        let module = &instance.module;
-        // Canonical form for cache keying, computed once per design
-        // instance (rename- and reorder-invariant).
-        let canon = ctx
-            .cache
-            .is_some()
-            .then(|| fastpath_rtl::canonical_form(module));
-        // One UPEC engine per design instance: the formal stage elaborates
-        // its frame template once and keeps one incremental SAT solver
-        // alive across every refinement iteration below. Created lazily so
-        // structurally-proven and simulation-terminated designs never pay
-        // for elaboration.
-        let mut upec: Option<Upec2Safety<'_>> = None;
-        // How much of the active spec has been pushed into the engine.
-        let mut synced = SyncedSpec::default();
-        // The design's SecIC3 engine, created lazily on the first cold
-        // escalation attempt — reference `induction` runs and warm
-        // invariant-cache discharges never build it.
-        let mut ic3: Option<Ic3State<'_>> = None;
-
-        // ---- Stage 1: structural analysis --------------------------------
-        if !options.skip_hfg {
-            let t0 = Instant::now();
-            let hfg = extract_hfg(module);
-            let query = PathQuery::new(&hfg);
-            let no_flow = query.no_flow_possible(&module.data_inputs(), &module.control_outputs());
-            ctx.timings.structural += t0.elapsed();
-            ctx.events.push(FlowEvent::HfgAnalysis {
-                paths_exist: !no_flow,
-            });
-            if no_flow {
-                ctx.events.push(FlowEvent::StructuralProof);
-                return ctx.finish(
-                    module,
-                    Verdict::DataOblivious,
-                    CompletionMethod::Hfg,
-                    None,
-                    None,
-                );
+    loop {
+        let exit = run_instance(&mut ctx, study, instance, options, plan);
+        if exit.verdict == Verdict::NotDataOblivious {
+            if let (Some(fixed), false) = (&study.fixed_instance, fixed_used) {
+                fixed_used = true;
+                instance = fixed;
+                ctx.events.push(FlowEvent::DesignFixed);
+                continue;
             }
         }
-
-        let mut active_constraints: Vec<usize> = Vec::new();
-        let mut active_invariants: Vec<usize> = Vec::new();
-        let mut active_cond_eqs: Vec<usize> = Vec::new();
-        let mut declassified: Vec<SignalId> = instance.initial_declassified.clone();
-
-        'restart_sim: loop {
-            // ---- Stage 2: IFT-enhanced simulation ------------------------
-            let sim_result = if options.skip_ift_seeding {
-                SimStageResult::Skipped
-            } else {
-                ctx.simulation_stage(study, instance, &mut active_constraints, &mut declassified)
-            };
-            let sim_report = match sim_result {
-                SimStageResult::Skipped => None,
-                SimStageResult::Clean(report) => Some(report),
-                SimStageResult::Vulnerability(description) => {
-                    ctx.vulnerabilities.push(description.clone());
-                    ctx.events.push(FlowEvent::VulnerabilityFound {
-                        description,
-                        stage: Stage::Simulation,
-                    });
-                    ctx.absorb_engine(upec.as_ref());
-                    if let (Some(fixed), false) = (&study.fixed_instance, fixed_used) {
-                        fixed_used = true;
-                        instance = fixed;
-                        ctx.events.push(FlowEvent::DesignFixed);
-                        continue 'design;
-                    }
-                    return ctx.finish(
-                        module,
-                        Verdict::NotDataOblivious,
-                        CompletionMethod::Ift,
-                        None,
-                        None,
-                    );
-                }
-            };
-            let ift_propagations = sim_report.as_ref().map(|r| r.tainted_state.len());
-            let mut z_prime: BTreeSet<SignalId> = match &sim_report {
-                Some(r) => r.untainted_state.iter().copied().collect(),
-                None => module.state_signals().into_iter().collect(),
-            };
-
-            // ---- Stage 3: UPEC-DIT ---------------------------------------
-            {
-                loop {
-                    let z_vec: Vec<SignalId> = z_prime.iter().copied().collect();
-                    // Content address of this exact check; a validated
-                    // cache hit answers it without ever elaborating the
-                    // 2-safety model.
-                    let key = canon.as_ref().map(|canon| {
-                        active_check_key(
-                            canon,
-                            CheckKind::Full,
-                            options.upec_encoding,
-                            instance,
-                            &z_vec,
-                            &active_constraints,
-                            &active_invariants,
-                            &active_cond_eqs,
-                        )
-                    });
-                    let mut cached = None;
-                    if let Some(key) = &key {
-                        let t0 = Instant::now();
-                        cached = ctx.try_cached_check(key, module, instance, &active_cond_eqs);
-                        ctx.timings.formal_checks += t0.elapsed();
-                    }
-                    let outcome = match cached {
-                        Some(outcome) => outcome,
-                        None => {
-                            let engine = ensure_upec_engine(
-                                &mut upec, module, &options, &mut ctx, "fastpath",
-                            );
-                            // Feed spec entries activated since the last
-                            // engine-run check; nothing already encoded is
-                            // redone.
-                            sync_spec_entries(
-                                engine,
-                                instance,
-                                &active_constraints,
-                                &active_invariants,
-                                &active_cond_eqs,
-                                &mut synced,
-                            );
-
-                            let t0 = Instant::now();
-                            let outcome = if ctx.certification.is_some() {
-                                let certified = engine.check_certified(&z_vec);
-                                ctx.record_certificate(&certified);
-                                let artifact = engine.take_last_artifact();
-                                ctx.store_cached_check(key.as_ref(), &certified, artifact);
-                                certified.outcome
-                            } else {
-                                engine.check(&z_vec)
-                            };
-                            ctx.timings.formal_checks += t0.elapsed();
-                            outcome
-                        }
-                    };
-                    ctx.timings.check_count += 1;
-                    ctx.events.push(FlowEvent::UpecCheck {
-                        holds: outcome.holds(),
-                    });
-                    let cex = match outcome {
-                        UpecOutcome::Holds => {
-                            return finish_upec_proved(
-                                ctx,
-                                module,
-                                instance,
-                                upec.as_ref(),
-                                &active_constraints,
-                                z_prime.len(),
-                                ift_propagations,
-                            );
-                        }
-                        UpecOutcome::Counterexample(cex) => cex,
-                    };
-
-                    ctx.confirm_replay(module, instance, &active_cond_eqs, &cex);
-                    let replay = WitnessReplay::new(module, &cex);
-
-                    // On the constrained track — the refinement loop is
-                    // heading toward a `Constrained` verdict — any
-                    // classification below that costs manual inspections
-                    // first offers the obligation to SecIC3: a certified
-                    // discharge proves the current `Z'` outright.
-                    // Unconstrained runs never escalate (their remaining
-                    // divergences are genuine data propagations, not
-                    // unreachable-state artifacts), and scenario
-                    // exclusion (2) and genuine output divergence (3) are
-                    // never escalated — no reachability argument can
-                    // stand in for software intent or excuse a real leak.
-                    macro_rules! escalate {
-                        () => {
-                            if options.upec_engine == UpecEngine::Ic3
-                                && !active_constraints.is_empty()
-                            {
-                                match try_ic3_discharge(
-                                    &mut ctx,
-                                    &options,
-                                    module,
-                                    instance,
-                                    canon.as_ref(),
-                                    &mut upec,
-                                    &mut synced,
-                                    &mut ic3,
-                                    &z_vec,
-                                    &active_constraints,
-                                    &active_invariants,
-                                    &active_cond_eqs,
-                                ) {
-                                    DischargeResult::Proved => {
-                                        return finish_upec_proved(
-                                            ctx,
-                                            module,
-                                            instance,
-                                            upec.as_ref(),
-                                            &active_constraints,
-                                            z_prime.len(),
-                                            ift_propagations,
-                                        );
-                                    }
-                                    DischargeResult::Failed => {}
-                                }
-                            }
-                        };
-                    }
-
-                    // (1) Spurious counterexample? Add an invariant.
-                    if let Some(ii) = instance.invariants.iter().enumerate().position(|(i, inv)| {
-                        !active_invariants.contains(&i) && !replay.invariant_holds(module, inv.expr)
-                    }) {
-                        escalate!();
-                        ctx.inspections += 1;
-                        active_invariants.push(ii);
-                        ctx.events.push(FlowEvent::InvariantAdded {
-                            name: instance.invariants[ii].name.clone(),
-                        });
-                        continue;
-                    }
-
-                    // (1b) A conditional 2-safety equality violated in the
-                    // witness? Activate it (an invariant-writing step).
-                    if let Some(ci) = instance.cond_eqs.iter().enumerate().position(|(i, ce)| {
-                        !active_cond_eqs.contains(&i)
-                            && cond_eq_violated_in_witness(module, &replay, ce)
-                    }) {
-                        escalate!();
-                        ctx.inspections += 1;
-                        active_cond_eqs.push(ci);
-                        ctx.events.push(FlowEvent::InvariantAdded {
-                            name: instance.cond_eqs[ci].name.clone(),
-                        });
-                        continue;
-                    }
-
-                    // (2) Scenario excludable by software? Derive the
-                    // constraint and backtrack to simulation.
-                    if let Some(ci) = instance.constraints.iter().enumerate().position(|(i, c)| {
-                        !active_constraints.contains(&i) && !replay.constraint_holds(module, c.expr)
-                    }) {
-                        ctx.inspections += 1;
-                        active_constraints.push(ci);
-                        ctx.events.push(FlowEvent::ConstraintDerived {
-                            name: instance.constraints[ci].name.clone(),
-                            stage: Stage::Formal,
-                        });
-                        continue 'restart_sim;
-                    }
-
-                    // (3) Control outputs diverged: genuine vulnerability.
-                    if !cex.divergent_outputs.is_empty() {
-                        ctx.inspections += 1;
-                        let names: Vec<String> = cex
-                            .divergent_outputs
-                            .iter()
-                            .map(|&y| module.signal(y).name.clone())
-                            .collect();
-                        let description = format!(
-                            "confidential data reaches control output(s) {}",
-                            names.join(", ")
-                        );
-                        ctx.vulnerabilities.push(description.clone());
-                        ctx.events.push(FlowEvent::VulnerabilityFound {
-                            description,
-                            stage: Stage::Formal,
-                        });
-                        ctx.absorb_engine(upec.as_ref());
-                        if let (Some(fixed), false) = (&study.fixed_instance, fixed_used) {
-                            fixed_used = true;
-                            instance = fixed;
-                            ctx.events.push(FlowEvent::DesignFixed);
-                            continue 'design;
-                        }
-                        return ctx.finish(
-                            module,
-                            Verdict::NotDataOblivious,
-                            CompletionMethod::Upec,
-                            ift_propagations,
-                            Some(module.state_signals().len() - z_prime.len()),
-                        );
-                    }
-
-                    // (4) Legal data propagation missed by simulation:
-                    // remove the divergent signals from Z'.
-                    escalate!();
-                    debug_assert!(!cex.divergent_state.is_empty());
-                    ctx.inspections += cex.divergent_state.len() as u64;
-                    for s in &cex.divergent_state {
-                        z_prime.remove(s);
-                    }
-                    ctx.events.push(FlowEvent::PropagationsRemoved {
-                        count: cex.divergent_state.len(),
-                    });
-                }
-            }
-        }
+        return ctx.finish(&instance.module, exit);
     }
 }
 
-/// How much of each active-spec list has been fed into an engine. The
-/// flow syncs lazily: entries activated by classification are encoded
-/// right before the next engine-run check (cache-served checks leave the
-/// counters lagging on purpose).
+/// Runs the plan's stages on one design instance.
+fn run_instance(
+    ctx: &mut FlowContext,
+    study: &CaseStudy,
+    instance: &DesignInstance,
+    options: &FlowOptions,
+    plan: &FlowPlan,
+) -> Exit {
+    let module = &instance.module;
+    // ---- Stage 1: structural analysis ------------------------------------
+    if plan.structural {
+        let t0 = Instant::now();
+        let hfg = extract_hfg(module);
+        let query = PathQuery::new(&hfg);
+        let no_flow = query.no_flow_possible(&module.data_inputs(), &module.control_outputs());
+        ctx.timings.structural += t0.elapsed();
+        ctx.events.push(FlowEvent::HfgAnalysis {
+            paths_exist: !no_flow,
+        });
+        if no_flow {
+            ctx.events.push(FlowEvent::StructuralProof);
+            return Exit {
+                verdict: Verdict::DataOblivious,
+                method: CompletionMethod::Hfg,
+                ift_propagations: None,
+                total_propagations: None,
+            };
+        }
+    }
+    let mut formal = FormalStage::new(ctx, instance, options, plan.tag);
+    let exit = formal.refine(ctx, study, plan);
+    ctx.absorb_engine(formal.upec.as_ref());
+    exit
+}
+
+/// The spec entries activated so far, as indices into the instance's
+/// vocabularies, in activation order.
+#[derive(Default)]
+struct ActiveSpec {
+    constraints: Vec<usize>,
+    invariants: Vec<usize>,
+    cond_eqs: Vec<usize>,
+}
+
+/// How much of the active spec has been fed into an engine. Entries
+/// activated by classification are encoded right before that engine's
+/// next run (cache-served checks leave the counts lagging on purpose).
 #[derive(Clone, Copy, Default)]
-pub(crate) struct SyncedSpec {
+struct SyncedSpec {
     constraints: usize,
     invariants: usize,
     cond_eqs: usize,
 }
 
-/// Returns the design's UPEC engine, creating and elaborating it on first
-/// use. `artifact_tag` names the flow layer in dumped artifact files.
-pub(crate) fn ensure_upec_engine<'a, 'm>(
-    upec: &'a mut Option<Upec2Safety<'m>>,
-    module: &'m Module,
-    options: &FlowOptions,
-    ctx: &mut FlowContext,
-    artifact_tag: &str,
-) -> &'a mut Upec2Safety<'m> {
-    upec.get_or_insert_with(|| {
-        let t0 = Instant::now();
-        let mut engine = Upec2Safety::new(module, &UpecSpec::default());
-        engine.set_encoding(options.upec_encoding);
-        if let Some(store) = &options.clause_store {
-            engine.set_clause_store(Arc::clone(store));
-        }
-        engine.set_cert_forward(options.cert_forward);
-        if ctx.certification.is_some() {
-            engine.enable_certification();
-            if ctx.cache.is_some() {
-                engine.enable_artifact_capture();
-            }
-            if let Some(dir) = &options.dump_artifacts {
-                engine
-                    .set_artifact_output(dir.clone(), format!("{}_{artifact_tag}_", module.name()));
-            }
-        }
-        engine.elaborate();
-        ctx.timings.formal_elaboration += t0.elapsed();
-        engine
-    })
-}
-
-/// Feeds spec entries activated since the last engine-run check; nothing
-/// already encoded is redone.
-pub(crate) fn sync_spec_entries(
-    engine: &mut Upec2Safety<'_>,
-    instance: &DesignInstance,
-    active_constraints: &[usize],
-    active_invariants: &[usize],
-    active_cond_eqs: &[usize],
-    synced: &mut SyncedSpec,
-) {
-    for &i in &active_constraints[synced.constraints..] {
-        engine.add_software_constraint(instance.constraints[i].expr);
+impl SyncedSpec {
+    /// Marks the whole active spec as fed, returning the constraints,
+    /// invariants and conditional equalities that were not yet.
+    fn catch_up<'s>(&mut self, spec: &'s ActiveSpec) -> (&'s [usize], &'s [usize], &'s [usize]) {
+        let new = (
+            &spec.constraints[self.constraints..],
+            &spec.invariants[self.invariants..],
+            &spec.cond_eqs[self.cond_eqs..],
+        );
+        *self = SyncedSpec {
+            constraints: spec.constraints.len(),
+            invariants: spec.invariants.len(),
+            cond_eqs: spec.cond_eqs.len(),
+        };
+        new
     }
-    synced.constraints = active_constraints.len();
-    for &i in &active_invariants[synced.invariants..] {
-        engine.add_invariant(instance.invariants[i].expr);
-    }
-    synced.invariants = active_invariants.len();
-    for &i in &active_cond_eqs[synced.cond_eqs..] {
-        let ce = &instance.cond_eqs[i];
-        engine.add_conditional_equality(ce.cond, ce.signal);
-    }
-    synced.cond_eqs = active_cond_eqs.len();
-}
-
-/// The fixed point was reached (by induction or by a certified IC3
-/// discharge): emit the event, settle the verdict from the active
-/// constraints, and close the report.
-pub(crate) fn finish_upec_proved(
-    mut ctx: FlowContext,
-    module: &Module,
-    instance: &DesignInstance,
-    upec: Option<&Upec2Safety<'_>>,
-    active_constraints: &[usize],
-    z_len: usize,
-    ift_propagations: Option<usize>,
-) -> FlowReport {
-    ctx.events.push(FlowEvent::FixedPoint);
-    let verdict = if active_constraints.is_empty() {
-        Verdict::DataOblivious
-    } else {
-        Verdict::ConstrainedDataOblivious(
-            active_constraints
-                .iter()
-                .map(|&i| instance.constraints[i].name.clone())
-                .collect(),
-        )
-    };
-    let total = module.state_signals().len() - z_len;
-    ctx.absorb_engine(upec);
-    ctx.finish(
-        module,
-        verdict,
-        CompletionMethod::Upec,
-        ift_propagations,
-        Some(total),
-    )
 }
 
 /// Failed cold attempts per design instance before escalation stops
@@ -570,246 +270,549 @@ pub(crate) fn finish_upec_proved(
 /// that price at every remaining classification step.
 const IC3_ESCALATION_FUSE: u32 = 2;
 
-/// One design instance's SecIC3 engine plus how much of the active spec
-/// has been fed into it (synced lazily, exactly like the UPEC engine).
-pub(crate) struct Ic3State<'m> {
-    engine: Ic3Engine<'m>,
+/// What one counterexample shows: the first step of the classification
+/// whose test its witness meets, in this order.
+enum Finding {
+    /// (1) An inactive invariant is false in the witness: the
+    /// counterexample is spurious.
+    Invariant(usize),
+    /// (1b) An inactive conditional 2-safety equality is violated in the
+    /// witness (an invariant-writing step).
+    CondEq(usize),
+    /// (2) An inactive software constraint is false in the witness: the
+    /// scenario is excludable by software.
+    Constraint(usize),
+    /// (3) Control outputs diverged: a genuine vulnerability.
+    Leak,
+    /// (4) Legal data propagation missed by simulation: the divergent
+    /// signals leave `Z'`.
+    Propagation,
+}
+
+/// One design instance's formal stage: the active spec and the engines
+/// that check it.
+struct FormalStage<'a> {
+    module: &'a Module,
+    instance: &'a DesignInstance,
+    options: &'a FlowOptions,
+    /// Names the flow in dumped artifact files.
+    tag: &'static str,
+    /// Canonical form for cache keys (rename- and reorder-invariant);
+    /// `None` without a cache.
+    canon: Option<CanonicalForm>,
+    spec: ActiveSpec,
+    /// The UPEC engine, created on the first check the cache does not
+    /// answer. It elaborates its frame template once and keeps one
+    /// incremental SAT solver alive across every refinement step, so
+    /// structurally proven, simulation-terminated and fully cache-served
+    /// designs never pay for elaboration.
+    upec: Option<Upec2Safety<'a>>,
+    /// How much of `spec` the UPEC engine holds.
     synced: SyncedSpec,
-    /// Cold attempts that ended in anything but a certified discharge.
-    failed: u32,
+    /// The SecIC3 engine and how much of `spec` it holds, created on the
+    /// first cold escalation attempt: reference `induction` runs and warm
+    /// invariant-cache discharges never build it.
+    ic3: Option<(Ic3Engine<'a>, SyncedSpec)>,
+    /// Cold attempts that ended in anything but a certified discharge
+    /// since the spec last grew.
+    ic3_failed: u32,
 }
 
-/// What an IC3 escalation attempt decided.
-pub(crate) enum DischargeResult {
-    /// An invariant was derived (or served warm) and the strengthened
-    /// check re-validated: the current `Z'` is proved.
-    Proved,
-    /// No certified discharge; classify the original counterexample as
-    /// usual. Nothing about the attempt is trusted or reused.
-    Failed,
-}
-
-/// Attempts to discharge the current obligations with a machine-derived
-/// relational invariant. The derivation itself is never trusted: a warm
-/// cache entry must re-certify its stored proof and re-check its clauses
-/// against the module and its reset state, and a cold IC3 proof is
-/// re-validated by staging the clauses into the standard (certified)
-/// induction check — whose UNSAT answer is precisely the consecution
-/// theorem for the derived invariant. IC3 bugs can therefore only cause a
-/// failure to discharge, never an unsound verdict.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_ic3_discharge<'m>(
-    ctx: &mut FlowContext,
-    options: &FlowOptions,
-    module: &'m Module,
-    instance: &DesignInstance,
-    canon: Option<&CanonicalForm>,
-    upec: &mut Option<Upec2Safety<'m>>,
-    synced: &mut SyncedSpec,
-    ic3: &mut Option<Ic3State<'m>>,
-    z_vec: &[SignalId],
-    active_constraints: &[usize],
-    active_invariants: &[usize],
-    active_cond_eqs: &[usize],
-) -> DischargeResult {
-    let key = canon.map(|canon| {
-        active_check_key(
-            canon,
-            CheckKind::Full,
-            options.upec_encoding,
+impl<'a> FormalStage<'a> {
+    fn new(
+        ctx: &FlowContext,
+        instance: &'a DesignInstance,
+        options: &'a FlowOptions,
+        tag: &'static str,
+    ) -> Self {
+        FormalStage {
+            module: &instance.module,
             instance,
-            z_vec,
-            active_constraints,
-            active_invariants,
-            active_cond_eqs,
-        )
-    });
-
-    // Warm path: a stored invariant for this exact check configuration
-    // skips frame reconstruction entirely — no IC3 engine, no UPEC
-    // engine, no solver.
-    if let (Some(cache), Some(key)) = (ctx.cache.clone(), key.as_ref()) {
-        let t0 = Instant::now();
-        let served = ctx.validate_cached_invariant(&*cache, key, module);
-        ctx.timings.formal_checks += t0.elapsed();
-        // An empty probe is not a miss yet: most escalation attempts
-        // fail, nothing is stored for them, and a warm resubmission
-        // must replay a fully-proved run without miss counts. The
-        // miss is booked below iff this attempt derives (and stores)
-        // an invariant the probe should have found.
-        if let Some(clauses) = served {
-            ctx.cache_stats.hits += 1;
-            ctx.timings.check_count += 1;
-            ctx.events.push(FlowEvent::Ic3Discharged { clauses });
-            ctx.events.push(FlowEvent::UpecCheck { holds: true });
-            return DischargeResult::Proved;
+            options,
+            tag,
+            canon: ctx
+                .cache
+                .is_some()
+                .then(|| fastpath_rtl::canonical_form(&instance.module)),
+            spec: ActiveSpec::default(),
+            upec: None,
+            synced: SyncedSpec::default(),
+            ic3: None,
+            ic3_failed: 0,
         }
     }
 
-    // Cold path: run (or resume) this design's IC3 engine. Learned
-    // frames and lemmas persist across escalation attempts.
-    let state = match ic3 {
-        Some(state) => state,
-        None => {
-            let t0 = Instant::now();
-            let state = Ic3State {
-                engine: Ic3Engine::new(module),
-                synced: SyncedSpec::default(),
-                failed: 0,
+    /// Stages 2 and 3: seed `Z'` (by simulation when the plan simulates),
+    /// then refine `Z'` and the spec by UPEC counterexamples until a fixed
+    /// point or a leak.
+    fn refine(&mut self, ctx: &mut FlowContext, study: &CaseStudy, plan: &FlowPlan) -> Exit {
+        let module = self.module;
+        let mut declassified: Vec<SignalId> = self.instance.initial_declassified.clone();
+        'simulate: loop {
+            // ---- Stage 2: IFT-enhanced simulation ------------------------
+            let (ift_propagations, mut z_prime): (_, BTreeSet<SignalId>) = if plan.simulate {
+                let stage = ctx.simulation_stage(
+                    study,
+                    self.instance,
+                    &mut self.spec.constraints,
+                    &mut declassified,
+                );
+                match stage {
+                    Ok(report) => (
+                        Some(report.tainted_state.len()),
+                        report.untainted_state.iter().copied().collect(),
+                    ),
+                    Err(description) => {
+                        return ctx.leak(
+                            description,
+                            Stage::Simulation,
+                            CompletionMethod::Ift,
+                            None,
+                            None,
+                        );
+                    }
+                }
+            } else {
+                (None, module.state_signals().into_iter().collect())
             };
-            ctx.timings.formal_elaboration += t0.elapsed();
-            ic3.insert(state)
-        }
-    };
-    // A failure under a weaker spec says nothing about the strengthened
-    // one, so newly activated entries re-arm the fuse.
-    let grew = state.synced.constraints < active_constraints.len()
-        || state.synced.invariants < active_invariants.len()
-        || state.synced.cond_eqs < active_cond_eqs.len();
-    if grew {
-        state.failed = 0;
-    } else if state.failed >= IC3_ESCALATION_FUSE {
-        return DischargeResult::Failed;
-    }
-    for &i in &active_constraints[state.synced.constraints..] {
-        state
-            .engine
-            .add_software_constraint(instance.constraints[i].expr);
-    }
-    state.synced.constraints = active_constraints.len();
-    for &i in &active_invariants[state.synced.invariants..] {
-        state.engine.add_invariant(instance.invariants[i].expr);
-    }
-    state.synced.invariants = active_invariants.len();
-    for &i in &active_cond_eqs[state.synced.cond_eqs..] {
-        let ce = &instance.cond_eqs[i];
-        state.engine.add_conditional_equality(ce.cond, ce.signal);
-    }
-    state.synced.cond_eqs = active_cond_eqs.len();
 
-    let before = state.engine.stats();
-    let t0 = Instant::now();
-    let outcome = state.engine.prove(z_vec);
-    ctx.timings.formal_checks += t0.elapsed();
-    let after = state.engine.stats();
-    ctx.ic3
-        .get_or_insert_with(Ic3Stats::default)
-        .merge(&after.since(&before));
+            // ---- Stage 3: UPEC-DIT ---------------------------------------
+            loop {
+                let z_vec: Vec<SignalId> = z_prime.iter().copied().collect();
+                let outcome = plan
+                    .checks
+                    .iter()
+                    .map(|&kind| self.check(ctx, kind, &z_vec))
+                    .find(|outcome| !outcome.holds())
+                    .unwrap_or(UpecOutcome::Holds);
+                ctx.timings.check_count += 1;
+                ctx.events.push(FlowEvent::UpecCheck {
+                    holds: outcome.holds(),
+                });
+                let cex = match outcome {
+                    UpecOutcome::Holds => return self.proved(ctx, z_prime.len(), ift_propagations),
+                    UpecOutcome::Counterexample(cex) => cex,
+                };
+                ctx.confirm_replay(module, self.instance, &self.spec.cond_eqs, &cex);
 
-    let inv = match outcome {
-        // Defensive gate on the derivation itself: a malformed or
-        // reset-violating invariant is a failed attempt, nothing more,
-        // because the flow only ever acts on the re-validated check
-        // below.
-        Ic3Outcome::Proved(inv) if inv.is_well_formed(module) && inv.holds_at_reset(module) => inv,
-        _ => {
-            state.failed += 1;
-            return DischargeResult::Failed;
-        }
-    };
-
-    let engine = ensure_upec_engine(upec, module, options, ctx, "fastpath");
-    sync_spec_entries(
-        engine,
-        instance,
-        active_constraints,
-        active_invariants,
-        active_cond_eqs,
-        synced,
-    );
-    engine.add_relational_clauses(&inv.clauses);
-    let t1 = Instant::now();
-    let (outcome, certified) = if ctx.certification.is_some() {
-        let certified = engine.check_certified(z_vec);
-        (certified.outcome.clone(), Some(certified))
-    } else {
-        (engine.check(z_vec), None)
-    };
-    ctx.timings.formal_checks += t1.elapsed();
-    if let Some(certified) = &certified {
-        ctx.record_certificate(certified);
-    }
-    ctx.timings.check_count += 1;
-    match outcome {
-        UpecOutcome::Holds => {
-            // Persist the invariant with its certified proof so warm
-            // resubmissions discharge without rebuilding any frames.
-            if let (Some(cache), Some(key), Some(certified)) =
-                (ctx.cache.clone(), key.as_ref(), &certified)
-            {
-                if matches!(
-                    certified.certificate,
-                    Ok(CheckCertificate::UnsatProof { .. })
-                ) {
-                    if let Some(artifact) = engine.take_last_artifact() {
-                        let entry = cache::CachedInvariant {
-                            clauses: inv.clauses.clone(),
-                            check: cache::check_entry_from_artifact(artifact),
-                        };
-                        cache.store(CacheKind::Invariant, key, &cache::encode_invariant(&entry));
-                        ctx.cache_stats.misses += 1;
+                let finding = self.classify(&cex);
+                // A finding that costs manual inspections without excluding
+                // a scenario or confirming a leak is first offered to
+                // SecIC3: a certified discharge proves the current `Z'`
+                // outright. No reachability argument can stand in for
+                // software intent or excuse a real leak, so (2) and (3)
+                // are never escalated.
+                let escalates = matches!(
+                    finding,
+                    Finding::Invariant(_) | Finding::CondEq(_) | Finding::Propagation
+                );
+                if escalates && self.discharge(ctx, &z_vec) {
+                    return self.proved(ctx, z_prime.len(), ift_propagations);
+                }
+                ctx.inspections += match finding {
+                    Finding::Propagation => cex.divergent_state.len() as u64,
+                    _ => 1,
+                };
+                let instance = self.instance;
+                match finding {
+                    Finding::Invariant(i) => {
+                        self.spec.invariants.push(i);
+                        ctx.events.push(FlowEvent::InvariantAdded {
+                            name: instance.invariants[i].name.clone(),
+                        });
+                    }
+                    Finding::CondEq(i) => {
+                        self.spec.cond_eqs.push(i);
+                        ctx.events.push(FlowEvent::InvariantAdded {
+                            name: instance.cond_eqs[i].name.clone(),
+                        });
+                    }
+                    Finding::Constraint(i) => {
+                        self.spec.constraints.push(i);
+                        ctx.events.push(FlowEvent::ConstraintDerived {
+                            name: instance.constraints[i].name.clone(),
+                            stage: Stage::Formal,
+                        });
+                        if plan.simulate {
+                            continue 'simulate;
+                        }
+                    }
+                    Finding::Leak => {
+                        let names: Vec<String> = cex
+                            .divergent_outputs
+                            .iter()
+                            .map(|&y| module.signal(y).name.clone())
+                            .collect();
+                        let description = format!(
+                            "confidential data reaches control output(s) {}",
+                            names.join(", ")
+                        );
+                        let total = module.state_signals().len() - z_prime.len();
+                        return ctx.leak(
+                            description,
+                            Stage::Formal,
+                            CompletionMethod::Upec,
+                            ift_propagations,
+                            Some(total),
+                        );
+                    }
+                    Finding::Propagation => {
+                        debug_assert!(!cex.divergent_state.is_empty());
+                        for s in &cex.divergent_state {
+                            z_prime.remove(s);
+                        }
+                        ctx.events.push(FlowEvent::PropagationsRemoved {
+                            count: cex.divergent_state.len(),
+                        });
                     }
                 }
             }
-            ctx.events.push(FlowEvent::Ic3Discharged {
-                clauses: inv.clauses.len(),
-            });
-            ctx.events.push(FlowEvent::UpecCheck { holds: true });
-            DischargeResult::Proved
         }
-        UpecOutcome::Counterexample(_) => {
+    }
+
+    /// The fixed point was reached (by induction or by a certified IC3
+    /// discharge): the verdict follows from the active constraints.
+    fn proved(&self, ctx: &mut FlowContext, z_len: usize, ift_propagations: Option<usize>) -> Exit {
+        ctx.events.push(FlowEvent::FixedPoint);
+        let verdict = if self.spec.constraints.is_empty() {
+            Verdict::DataOblivious
+        } else {
+            Verdict::ConstrainedDataOblivious(
+                self.spec
+                    .constraints
+                    .iter()
+                    .map(|&i| self.instance.constraints[i].name.clone())
+                    .collect(),
+            )
+        };
+        Exit {
+            verdict,
+            method: CompletionMethod::Upec,
+            ift_propagations,
+            total_propagations: Some(self.module.state_signals().len() - z_len),
+        }
+    }
+
+    /// Classifies a counterexample by the first inactive spec entry its
+    /// witness violates: invariants, then conditional equalities, then
+    /// constraints; failing those, by its divergent outputs.
+    fn classify(&self, cex: &UpecCounterexample) -> Finding {
+        let (module, instance, spec) = (self.module, self.instance, &self.spec);
+        let replay = WitnessReplay::new(module, cex);
+        let first = |n: usize, active: &[usize], violated: &dyn Fn(usize) -> bool| {
+            (0..n).find(|&i| !active.contains(&i) && violated(i))
+        };
+        if let Some(i) = first(instance.invariants.len(), &spec.invariants, &|i| {
+            !replay.invariant_holds(module, instance.invariants[i].expr)
+        }) {
+            Finding::Invariant(i)
+        } else if let Some(i) = first(instance.cond_eqs.len(), &spec.cond_eqs, &|i| {
+            cond_eq_violated_in_witness(module, &replay, &instance.cond_eqs[i])
+        }) {
+            Finding::CondEq(i)
+        } else if let Some(i) = first(instance.constraints.len(), &spec.constraints, &|i| {
+            !replay.constraint_holds(module, instance.constraints[i].expr)
+        }) {
+            Finding::Constraint(i)
+        } else if !cex.divergent_outputs.is_empty() {
+            Finding::Leak
+        } else {
+            Finding::Propagation
+        }
+    }
+
+    /// The content address of a check under the active spec, built from
+    /// its entries in activation order; `None` without a cache.
+    fn key(&self, kind: CheckKind, z: &[SignalId]) -> Option<Digest> {
+        let canon = self.canon.as_ref()?;
+        let (instance, spec) = (self.instance, &self.spec);
+        let constraints: Vec<ExprId> = spec
+            .constraints
+            .iter()
+            .map(|&i| instance.constraints[i].expr)
+            .collect();
+        let invariants: Vec<ExprId> = spec
+            .invariants
+            .iter()
+            .map(|&i| instance.invariants[i].expr)
+            .collect();
+        Some(cache::check_key(
+            canon,
+            kind,
+            self.options.upec_encoding,
+            z,
+            &constraints,
+            &invariants,
+            &cond_eqs_in_force(instance, &spec.cond_eqs),
+        ))
+    }
+
+    /// The design's UPEC engine, created and elaborated on first use, with
+    /// every active spec entry encoded. Entries activated since the last
+    /// engine run are fed in now; nothing already encoded is redone.
+    fn engine(&mut self, ctx: &mut FlowContext) -> &mut Upec2Safety<'a> {
+        let (module, instance, options, tag) = (self.module, self.instance, self.options, self.tag);
+        let engine = self.upec.get_or_insert_with(|| {
+            let t0 = Instant::now();
+            let mut engine = Upec2Safety::new(module, &UpecSpec::default());
+            engine.set_encoding(options.upec_encoding);
+            if let Some(store) = &options.clause_store {
+                engine.set_clause_store(Arc::clone(store));
+            }
+            if ctx.certification.is_some() {
+                engine.enable_certification();
+                if ctx.cache.is_some() {
+                    engine.enable_artifact_capture();
+                }
+                if let Some(dir) = &options.dump_artifacts {
+                    engine.set_artifact_output(dir.clone(), format!("{}_{tag}_", module.name()));
+                }
+            }
+            engine.elaborate();
+            ctx.timings.formal_elaboration += t0.elapsed();
+            engine
+        });
+        let (constraints, invariants, cond_eqs) = self.synced.catch_up(&self.spec);
+        for &i in constraints {
+            engine.add_software_constraint(instance.constraints[i].expr);
+        }
+        for &i in invariants {
+            engine.add_invariant(instance.invariants[i].expr);
+        }
+        for &i in cond_eqs {
+            let ce = &instance.cond_eqs[i];
+            engine.add_conditional_equality(ce.cond, ce.signal);
+        }
+        engine
+    }
+
+    /// Answers one check: from the cache when a stored verdict survives
+    /// re-validation, else on the engine, storing what it certifies.
+    fn check(&mut self, ctx: &mut FlowContext, kind: CheckKind, z: &[SignalId]) -> UpecOutcome {
+        let key = self.key(kind, z);
+        if let Some(key) = &key {
+            let t0 = Instant::now();
+            let cached = ctx.try_cached_check(key, self.module, self.instance, &self.spec.cond_eqs);
+            ctx.timings.formal_checks += t0.elapsed();
+            if let Some(outcome) = cached {
+                return outcome;
+            }
+        }
+        let (outcome, entry) = self.solve(ctx, kind, z);
+        if let (Some(cache), Some(key), Some(entry)) = (&ctx.cache, &key, entry) {
+            let t0 = Instant::now();
+            cache.store(CacheKind::Check, key, &cache::encode_check(&entry));
+            ctx.timings.formal_checks += t0.elapsed();
+        }
+        outcome
+    }
+
+    /// Runs one check on the engine, certified when the run certifies.
+    /// With a cache attached, also returns the entry the certified verdict
+    /// may be stored as.
+    fn solve(
+        &mut self,
+        ctx: &mut FlowContext,
+        kind: CheckKind,
+        z: &[SignalId],
+    ) -> (UpecOutcome, Option<cache::CachedCheck>) {
+        let engine = self.engine(ctx);
+        let t0 = Instant::now();
+        let solved = if ctx.certification.is_some() {
+            let certified = match kind {
+                CheckKind::Full => engine.check_certified(z),
+                CheckKind::StateOnly => engine.check_state_only_certified(z),
+            };
+            ctx.record_certificate(&certified);
+            let artifact = engine.take_last_artifact();
+            let entry = ctx
+                .cache
+                .is_some()
+                .then(|| cache_entry(&certified, artifact))
+                .flatten();
+            (certified.outcome, entry)
+        } else {
+            let outcome = match kind {
+                CheckKind::Full => engine.check(z),
+                CheckKind::StateOnly => engine.check_state_only(z),
+            };
+            (outcome, None)
+        };
+        ctx.timings.formal_checks += t0.elapsed();
+        solved
+    }
+
+    /// Offers the current obligations to SecIC3 on the constrained track,
+    /// where the refinement is heading toward a `Constrained` verdict;
+    /// unconstrained runs never escalate (their remaining divergences are
+    /// genuine data propagations, not unreachable-state artifacts).
+    /// Returns `true` iff a certified discharge proves the current `Z'`.
+    ///
+    /// The derivation itself is never trusted: a warm cache entry must
+    /// re-certify its stored proof and re-check its clauses against the
+    /// module and its reset state, and a cold IC3 proof is re-validated by
+    /// staging the clauses into the standard (certified) full check —
+    /// whose UNSAT answer is precisely the consecution theorem for the
+    /// derived invariant. IC3 bugs can therefore only cause a failure to
+    /// discharge, never an unsound verdict.
+    fn discharge(&mut self, ctx: &mut FlowContext, z: &[SignalId]) -> bool {
+        if self.options.upec_engine != UpecEngine::Ic3 || self.spec.constraints.is_empty() {
+            return false;
+        }
+        let key = self.key(CheckKind::Full, z);
+
+        // Warm path: a stored invariant for this exact check configuration
+        // skips frame reconstruction entirely — no IC3 engine, no UPEC
+        // engine, no solver.
+        if let (Some(cache), Some(key)) = (ctx.cache.clone(), &key) {
+            let t0 = Instant::now();
+            let served = ctx.validate_cached_invariant(&*cache, key, self.module);
+            ctx.timings.formal_checks += t0.elapsed();
+            // An empty probe is not a miss yet: most escalation attempts
+            // fail, nothing is stored for them, and a warm resubmission
+            // must replay a fully-proved run without miss counts. The
+            // miss is booked below iff this attempt derives (and stores)
+            // an invariant the probe should have found.
+            if let Some(clauses) = served {
+                ctx.cache_stats.hits += 1;
+                ctx.timings.check_count += 1;
+                ctx.events.push(FlowEvent::Ic3Discharged { clauses });
+                ctx.events.push(FlowEvent::UpecCheck { holds: true });
+                return true;
+            }
+        }
+
+        // Cold path: derive, then re-validate on the UPEC engine.
+        let Some(inv) = self.derive_invariant(ctx, z) else {
+            return false;
+        };
+        self.engine(ctx).add_relational_clauses(&inv.clauses);
+        let (outcome, entry) = self.solve(ctx, CheckKind::Full, z);
+        ctx.timings.check_count += 1;
+        if !outcome.holds() {
             // The strengthened check failed (e.g. a solver-budget
             // artifact): its counterexample may have an empty divergence
             // set, so it is dropped — never classified, never replayed.
-            state.failed += 1;
+            self.ic3_failed += 1;
             ctx.events.push(FlowEvent::UpecCheck { holds: false });
-            DischargeResult::Failed
+            return false;
+        }
+        let clauses = inv.clauses.len();
+        // Persist the invariant with its certified proof so warm
+        // resubmissions discharge without rebuilding any frames.
+        if let (
+            Some(cache),
+            Some(key),
+            Some(
+                check @ (cache::CachedCheck::HoldsProof { .. }
+                | cache::CachedCheck::HoldsHinted { .. }),
+            ),
+        ) = (&ctx.cache, &key, entry)
+        {
+            let entry = cache::CachedInvariant {
+                clauses: inv.clauses,
+                check,
+            };
+            cache.store(CacheKind::Invariant, key, &cache::encode_invariant(&entry));
+            ctx.cache_stats.misses += 1;
+        }
+        ctx.events.push(FlowEvent::Ic3Discharged { clauses });
+        ctx.events.push(FlowEvent::UpecCheck { holds: true });
+        true
+    }
+
+    /// Runs (or resumes) the design's SecIC3 engine on the current
+    /// obligations. Learned frames and lemmas persist across attempts.
+    /// Returns a well-formed invariant that holds at reset, or `None`.
+    fn derive_invariant(
+        &mut self,
+        ctx: &mut FlowContext,
+        z: &[SignalId],
+    ) -> Option<RelationalInvariant> {
+        let (module, instance) = (self.module, self.instance);
+        let (engine, synced) = self.ic3.get_or_insert_with(|| {
+            let t0 = Instant::now();
+            let engine = Ic3Engine::new(module);
+            ctx.timings.formal_elaboration += t0.elapsed();
+            (engine, SyncedSpec::default())
+        });
+        let (constraints, invariants, cond_eqs) = synced.catch_up(&self.spec);
+        // A failure under a weaker spec says nothing about the strengthened
+        // one, so newly activated entries re-arm the fuse.
+        if !(constraints.is_empty() && invariants.is_empty() && cond_eqs.is_empty()) {
+            self.ic3_failed = 0;
+        } else if self.ic3_failed >= IC3_ESCALATION_FUSE {
+            return None;
+        }
+        for &i in constraints {
+            engine.add_software_constraint(instance.constraints[i].expr);
+        }
+        for &i in invariants {
+            engine.add_invariant(instance.invariants[i].expr);
+        }
+        for &i in cond_eqs {
+            let ce = &instance.cond_eqs[i];
+            engine.add_conditional_equality(ce.cond, ce.signal);
+        }
+
+        let before = engine.stats();
+        let t0 = Instant::now();
+        let outcome = engine.prove(z);
+        ctx.timings.formal_checks += t0.elapsed();
+        ctx.ic3
+            .get_or_insert_with(Ic3Stats::default)
+            .merge(&engine.stats().since(&before));
+        match outcome {
+            // Defensive gate on the derivation itself: a malformed or
+            // reset-violating invariant is a failed attempt, nothing more,
+            // because the flow only ever acts on the re-validated check.
+            Ic3Outcome::Proved(inv) if inv.is_well_formed(module) && inv.holds_at_reset(module) => {
+                Some(inv)
+            }
+            _ => {
+                self.ic3_failed += 1;
+                None
+            }
         }
     }
 }
 
-/// The content address of a flow check, built from the active subsets of
-/// the instance's spec vocabulary in activation order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn active_check_key(
-    canon: &CanonicalForm,
-    kind: CheckKind,
-    encoding: UpecEncoding,
-    instance: &DesignInstance,
-    z_vec: &[SignalId],
-    active_constraints: &[usize],
-    active_invariants: &[usize],
-    active_cond_eqs: &[usize],
-) -> Digest {
-    let constraints: Vec<ExprId> = active_constraints
-        .iter()
-        .map(|&i| instance.constraints[i].expr)
-        .collect();
-    let invariants: Vec<ExprId> = active_invariants
-        .iter()
-        .map(|&i| instance.invariants[i].expr)
-        .collect();
-    let cond_eqs: Vec<(ExprId, SignalId)> = active_cond_eqs
+/// The cache entry a certified verdict is stored as: an UNSAT verdict
+/// needs its captured proof artifact, a counterexample its validated
+/// model; a rejected certificate stores nothing.
+fn cache_entry(
+    certified: &CertifiedOutcome,
+    artifact: Option<ProofArtifact>,
+) -> Option<cache::CachedCheck> {
+    match (&certified.outcome, &certified.certificate) {
+        (UpecOutcome::Holds, Ok(CheckCertificate::UnsatProof { .. })) => {
+            artifact.map(cache::check_entry_from_artifact)
+        }
+        (UpecOutcome::Holds, Ok(CheckCertificate::TrivialUnsat)) => {
+            Some(cache::CachedCheck::HoldsTrivial)
+        }
+        (UpecOutcome::Counterexample(cex), Ok(CheckCertificate::SatModel { .. })) => Some(
+            cache::CachedCheck::Cex(cache::CachedCex::from_counterexample(cex)),
+        ),
+        _ => None,
+    }
+}
+
+/// The `(condition, signal)` pairs of the active conditional equalities,
+/// in activation order — the order the engine's spec holds them in.
+fn cond_eqs_in_force(instance: &DesignInstance, active: &[usize]) -> Vec<(ExprId, SignalId)> {
+    active
         .iter()
         .map(|&i| {
             let ce = &instance.cond_eqs[i];
             (ce.cond, ce.signal)
         })
-        .collect();
-    cache::check_key(
-        canon,
-        kind,
-        encoding,
-        z_vec,
-        &constraints,
-        &invariants,
-        &cond_eqs,
-    )
+        .collect()
 }
 
 /// `true` iff the conditional equality fails in the replayed witness at
 /// time `t`: the condition holds in both instances but the values differ.
-pub(crate) fn cond_eq_violated_in_witness(
+fn cond_eq_violated_in_witness(
     module: &Module,
     replay: &WitnessReplay,
     ce: &crate::study::NamedCondEq,
@@ -820,19 +823,18 @@ pub(crate) fn cond_eq_violated_in_witness(
 }
 
 /// Shared bookkeeping for a flow run.
-pub(crate) struct FlowContext {
-    pub(crate) design: String,
-    pub(crate) events: Vec<FlowEvent>,
-    pub(crate) inspections: u64,
-    pub(crate) vulnerabilities: Vec<String>,
-    pub(crate) timings: StageTimings,
-    pub(crate) derived_constraints: Vec<String>,
-    pub(crate) invariants_added: Vec<String>,
-    pub(crate) solver_stats: SolverStats,
-    pub(crate) elaboration: ElaborationStats,
-    pub(crate) product: ProductStats,
-    pub(crate) certification: Option<CertificationSummary>,
-    pub(crate) sim_engine: SimEngine,
+struct FlowContext {
+    design: String,
+    events: Vec<FlowEvent>,
+    inspections: u64,
+    vulnerabilities: Vec<String>,
+    timings: StageTimings,
+    derived_constraints: Vec<String>,
+    invariants_added: Vec<String>,
+    solver_stats: SolverStats,
+    elaboration: ElaborationStats,
+    product: ProductStats,
+    certification: Option<CertificationSummary>,
     /// Compiled-tape cache, keyed by module address (both design
     /// instances stay alive inside the study for the whole run, so
     /// addresses are stable and distinct).
@@ -840,26 +842,19 @@ pub(crate) struct FlowContext {
     sim_runs: u64,
     sim_cycles: u64,
     /// Cross-run verification cache, when attached.
-    pub(crate) cache: Option<Arc<dyn ProofCache>>,
+    cache: Option<Arc<dyn ProofCache>>,
     /// Hit/miss counters for this run (store-side numbers join at finish).
-    pub(crate) cache_stats: CacheStats,
+    cache_stats: CacheStats,
     /// Exact-netlist hash memo, keyed like `tape`.
     exact_hash: Option<(usize, Digest)>,
     /// SecIC3 work done this run; `None` unless at least one cold IC3
     /// discharge attempt ran (warm invariant-cache hits and reference
     /// `induction` runs leave it unset).
-    pub(crate) ic3: Option<Ic3Stats>,
-}
-
-enum SimStageResult {
-    /// IFT seeding disabled (ablation).
-    Skipped,
-    Clean(IftReport),
-    Vulnerability(String),
+    ic3: Option<Ic3Stats>,
 }
 
 impl FlowContext {
-    pub(crate) fn new(study: &CaseStudy) -> Self {
+    fn new(study: &CaseStudy, options: &FlowOptions) -> Self {
         FlowContext {
             design: study.name.clone(),
             events: Vec::new(),
@@ -871,12 +866,13 @@ impl FlowContext {
             solver_stats: SolverStats::default(),
             elaboration: ElaborationStats::default(),
             product: ProductStats::default(),
-            certification: None,
-            sim_engine: SimEngine::default(),
+            // Attaching a cache implies certification.
+            certification: (options.certify || options.cache.is_some())
+                .then(CertificationSummary::default),
             tape: None,
             sim_runs: 0,
             sim_cycles: 0,
-            cache: None,
+            cache: options.cache.clone(),
             cache_stats: CacheStats::default(),
             exact_hash: None,
             ic3: None,
@@ -900,7 +896,7 @@ impl FlowContext {
     /// survives re-validation: an UNSAT proof must replay through the RUP
     /// checker, a counterexample must reproduce under concrete two-instance
     /// simulation. Anything less is a miss.
-    pub(crate) fn try_cached_check(
+    fn try_cached_check(
         &mut self,
         key: &Digest,
         module: &Module,
@@ -926,22 +922,6 @@ impl FlowContext {
     ) -> Option<UpecOutcome> {
         let text = cache.load(CacheKind::Check, key)?;
         match cache::decode_check(&text).ok()? {
-            cache::CachedCheck::HoldsProof { cnf, drup } => {
-                let checker = revalidate_unsat_artifact(&cnf, &drup).ok()?;
-                let summary = self.certification.as_mut()?;
-                summary.stats.certified_checks += 1;
-                summary.stats.unsat_proofs += 1;
-                summary.stats.checker.merge(&checker);
-                Some(UpecOutcome::Holds)
-            }
-            cache::CachedCheck::HoldsHinted { cnf, proof } => {
-                let checker = fastpath_cert::check_hinted_unsat_artifact(&cnf, &proof).ok()?;
-                let summary = self.certification.as_mut()?;
-                summary.stats.certified_checks += 1;
-                summary.stats.unsat_proofs += 1;
-                summary.stats.checker.merge(&checker);
-                Some(UpecOutcome::Holds)
-            }
             cache::CachedCheck::HoldsTrivial => {
                 let summary = self.certification.as_mut()?;
                 summary.stats.certified_checks += 1;
@@ -950,18 +930,16 @@ impl FlowContext {
             }
             cache::CachedCheck::Cex(cached) => {
                 let cex = cached.to_counterexample(module)?;
-                let in_force: Vec<(ExprId, SignalId)> = active_cond_eqs
-                    .iter()
-                    .map(|&i| {
-                        let ce = &instance.cond_eqs[i];
-                        (ce.cond, ce.signal)
-                    })
-                    .collect();
+                let in_force = cond_eqs_in_force(instance, active_cond_eqs);
                 confirm_counterexample(module, &in_force, &cex).ok()?;
                 let summary = self.certification.as_mut()?;
                 summary.stats.certified_checks += 1;
                 summary.stats.sat_models += 1;
                 Some(UpecOutcome::Counterexample(cex))
+            }
+            proof => {
+                self.replay_stored_proof(&proof)?;
+                Some(UpecOutcome::Holds)
             }
         }
     }
@@ -985,53 +963,29 @@ impl FlowContext {
         if !inv.is_well_formed(module) || !inv.holds_at_reset(module) {
             return None;
         }
-        let checker = match entry.check {
+        // A stored invariant always carries a genuine UNSAT proof — trivial
+        // or SAT entries are structurally impossible here and rejected.
+        self.replay_stored_proof(&entry.check)?;
+        Some(inv.clauses.len())
+    }
+
+    /// Re-certifies a stored UNSAT proof through the checker and counts
+    /// it; `None` for an entry that carries no proof or one that fails.
+    fn replay_stored_proof(&mut self, entry: &cache::CachedCheck) -> Option<()> {
+        let checker = match entry {
             cache::CachedCheck::HoldsProof { cnf, drup } => {
-                revalidate_unsat_artifact(&cnf, &drup).ok()?
+                revalidate_unsat_artifact(cnf, drup).ok()?
             }
             cache::CachedCheck::HoldsHinted { cnf, proof } => {
-                fastpath_cert::check_hinted_unsat_artifact(&cnf, &proof).ok()?
+                fastpath_cert::check_hinted_unsat_artifact(cnf, proof).ok()?
             }
-            // A stored invariant always carries a genuine UNSAT proof —
-            // trivial or SAT entries are structurally impossible here and
-            // rejected outright.
             _ => return None,
         };
         let summary = self.certification.as_mut()?;
         summary.stats.certified_checks += 1;
         summary.stats.unsat_proofs += 1;
         summary.stats.checker.merge(&checker);
-        Some(inv.clauses.len())
-    }
-
-    /// Stores a freshly certified verdict. Only independently validated
-    /// results enter the cache: an UNSAT verdict needs its captured proof
-    /// artifact, a counterexample its validated model; a rejected
-    /// certificate stores nothing.
-    pub(crate) fn store_cached_check(
-        &mut self,
-        key: Option<&Digest>,
-        certified: &CertifiedOutcome,
-        artifact: Option<ProofArtifact>,
-    ) {
-        let (Some(cache), Some(key)) = (self.cache.clone(), key) else {
-            return;
-        };
-        let entry = match (&certified.outcome, &certified.certificate) {
-            (UpecOutcome::Holds, Ok(CheckCertificate::UnsatProof { .. })) => {
-                artifact.map(cache::check_entry_from_artifact)
-            }
-            (UpecOutcome::Holds, Ok(CheckCertificate::TrivialUnsat)) => {
-                Some(cache::CachedCheck::HoldsTrivial)
-            }
-            (UpecOutcome::Counterexample(cex), Ok(CheckCertificate::SatModel { .. })) => Some(
-                cache::CachedCheck::Cex(cache::CachedCex::from_counterexample(cex)),
-            ),
-            _ => None,
-        };
-        if let Some(entry) = entry {
-            cache.store(CacheKind::Check, key, &cache::encode_check(&entry));
-        }
+        Some(())
     }
 
     /// The compiled tape for `module`, compiling on first use.
@@ -1049,14 +1003,12 @@ impl FlowContext {
 
     /// Folds a retiring UPEC engine's counters into the run totals. Must
     /// be called on every path that drops or abandons an engine.
-    pub(crate) fn absorb_engine(&mut self, engine: Option<&Upec2Safety<'_>>) {
+    fn absorb_engine(&mut self, engine: Option<&Upec2Safety<'_>>) {
         if let Some(engine) = engine {
             self.solver_stats.merge(&engine.solver_stats());
             self.elaboration.merge(&engine.elaboration_stats());
             self.product.merge(&engine.product_stats());
-            let (backward, forward) = engine.cert_times();
-            self.timings.cert_backward += backward;
-            self.timings.cert_forward += forward;
+            self.timings.cert_backward += engine.cert_time();
             // A retiring engine offers its short cone-local learnt clauses
             // to the attached store (a no-op without one); the caller
             // decides when the pending set is saved to disk.
@@ -1070,7 +1022,7 @@ impl FlowContext {
 
     /// Records a certificate rejection (the counters themselves live in
     /// the engine and are folded in by [`absorb_engine`](Self::absorb_engine)).
-    pub(crate) fn record_certificate(&mut self, outcome: &CertifiedOutcome) {
+    fn record_certificate(&mut self, outcome: &CertifiedOutcome) {
         if let (Some(summary), Err(e)) = (self.certification.as_mut(), &outcome.certificate) {
             summary
                 .failures
@@ -1080,7 +1032,7 @@ impl FlowContext {
 
     /// Replays a counterexample through concrete simulation when
     /// certification is on, recording the result.
-    pub(crate) fn confirm_replay(
+    fn confirm_replay(
         &mut self,
         module: &Module,
         instance: &DesignInstance,
@@ -1090,16 +1042,8 @@ impl FlowContext {
         let Some(summary) = self.certification.as_mut() else {
             return;
         };
-        // The engine's spec holds the conditional equalities in exactly
-        // the order they were activated.
-        let in_force: Vec<(ExprId, SignalId)> = active_cond_eqs
-            .iter()
-            .map(|&i| {
-                let ce = &instance.cond_eqs[i];
-                (ce.cond, ce.signal)
-            })
-            .collect();
         summary.counterexamples_replayed += 1;
+        let in_force = cond_eqs_in_force(instance, active_cond_eqs);
         if let Err(e) = confirm_counterexample(module, &in_force, cex) {
             summary
                 .failures
@@ -1107,14 +1051,28 @@ impl FlowContext {
         }
     }
 
-    pub(crate) fn finish(
-        mut self,
-        module: &Module,
-        verdict: Verdict,
+    /// Records a confirmed leak; [`run_flow`] then retries on the
+    /// design's fixed variant, if it has one.
+    fn leak(
+        &mut self,
+        description: String,
+        stage: Stage,
         method: CompletionMethod,
         ift_propagations: Option<usize>,
         total_propagations: Option<usize>,
-    ) -> FlowReport {
+    ) -> Exit {
+        self.vulnerabilities.push(description.clone());
+        self.events
+            .push(FlowEvent::VulnerabilityFound { description, stage });
+        Exit {
+            verdict: Verdict::NotDataOblivious,
+            method,
+            ift_propagations,
+            total_propagations,
+        }
+    }
+
+    fn finish(mut self, module: &Module, exit: Exit) -> FlowReport {
         for event in &self.events {
             match event {
                 FlowEvent::ConstraintDerived { name, .. }
@@ -1130,12 +1088,12 @@ impl FlowContext {
         }
         FlowReport {
             design: self.design,
-            verdict,
-            method,
+            verdict: exit.verdict,
+            method: exit.method,
             state_signals: module.state_signals().len(),
             state_bits: module.state_bits(),
-            ift_propagations,
-            total_propagations,
+            ift_propagations: exit.ift_propagations,
+            total_propagations: exit.total_propagations,
             manual_inspections: self.inspections,
             derived_constraints: self.derived_constraints,
             invariants_added: self.invariants_added,
@@ -1146,7 +1104,6 @@ impl FlowContext {
             elaboration: self.elaboration,
             product: self.product,
             sim: SimStats {
-                engine: self.sim_engine,
                 runs: self.sim_runs,
                 cycles: self.sim_cycles,
             },
@@ -1163,15 +1120,16 @@ impl FlowContext {
         }
     }
 
-    /// Runs IFT simulations, classifying violations until none remain or a
-    /// genuine vulnerability is confirmed.
+    /// Runs IFT simulations, classifying violations until none remain (the
+    /// clean report) or a genuine vulnerability is confirmed (its
+    /// description).
     fn simulation_stage(
         &mut self,
         study: &CaseStudy,
         instance: &DesignInstance,
         active_constraints: &mut Vec<usize>,
         declassified: &mut Vec<SignalId>,
-    ) -> SimStageResult {
+    ) -> Result<IftReport, String> {
         loop {
             let report = self.run_ift_once(study, instance, active_constraints, declassified);
             self.events.push(FlowEvent::IftRun {
@@ -1180,7 +1138,7 @@ impl FlowContext {
                 untainted: report.untainted_state.len(),
             });
             if report.violations.is_empty() {
-                return SimStageResult::Clean(report);
+                return Ok(report);
             }
 
             // The engineer inspects a counterexample (one inspection per
@@ -1258,7 +1216,7 @@ impl FlowContext {
             // Hypothesis C: genuine leak.
             let violation = report.violations[0];
             let output = instance.module.signal(violation.output);
-            return SimStageResult::Vulnerability(format!(
+            return Err(format!(
                 "confidential data observed on control output `{}` at \
                  cycle {} of simulation",
                 output.name, violation.cycle
@@ -1340,13 +1298,8 @@ impl FlowContext {
             .with_policy(study.policy)
             .with_declassified(declassified);
         let t0 = Instant::now();
-        let report = match self.sim_engine {
-            SimEngine::Interp => sim.run(module, &mut tb),
-            SimEngine::Compiled => {
-                let tape = self.tape_for(module);
-                sim.run_compiled(module, &tape, &mut tb)
-            }
-        };
+        let tape = self.tape_for(module);
+        let report = sim.run_compiled(module, &tape, &mut tb);
         self.timings.simulation += t0.elapsed();
         self.sim_runs += 1;
         self.sim_cycles += report.cycles_run;

@@ -66,7 +66,6 @@ mod witness;
 pub use baseline::{run_baseline, run_baseline_with};
 pub use cache::{CacheStats, MemoryCache, ProofCache};
 pub use fastpath_formal::{ClauseStore, Ic3Stats, ProductStats, UpecEncoding, UpecEngine};
-pub use fastpath_sim::SimEngine;
 pub use flow::{run_fastpath, run_fastpath_with, FlowOptions};
 pub use pairwise::{DynamicPairwise, PairResult, PairwiseAnalysis};
 pub use report::{

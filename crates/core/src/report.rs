@@ -3,7 +3,6 @@
 use fastpath_formal::{CertStats, ElaborationStats, ProductStats};
 use fastpath_rtl::SignalId;
 use fastpath_sat::SolverStats;
-use fastpath_sim::SimEngine;
 use std::fmt;
 use std::time::Duration;
 
@@ -144,19 +143,13 @@ pub struct StageTimings {
     /// Hinted backward certification (feed + core-tracked verify + hinted
     /// artifact emission); a subset of `formal_checks` wall-clock.
     pub cert_backward: Duration,
-    /// Forward-replay certification (feed + verify + full DRUP renders);
-    /// a subset of `formal_checks` wall-clock. At most one of the two
-    /// certification buckets is nonzero per run.
-    pub cert_forward: Duration,
     /// Number of UPEC checks performed.
     pub check_count: u64,
 }
 
-/// Simulation work done during one flow run, and the backend that did it.
+/// Simulation work done during one flow run on the compiled tape.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimStats {
-    /// The engine that executed the IFT runs.
-    pub engine: SimEngine,
     /// Complete IFT simulation runs (including constraint/policy trials).
     pub runs: u64,
     /// Simulated cycles summed over those runs.

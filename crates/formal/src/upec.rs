@@ -59,7 +59,7 @@ use crate::ic3::RelationalClause;
 use crate::reuse::{ClauseStore, MAX_REUSE_CLAUSE_LEN};
 use crate::tseitin::CnfEncoder;
 use crate::words::eq_word;
-use fastpath_cert::{artifacts, CertError, Checker, HintedTracker};
+use fastpath_cert::{artifacts, CertError, HintedTracker};
 use fastpath_rtl::{
     canonical_form, comb_cone_mask, BitVec, Digest, ExprId, Module, SignalId, SignalKind,
     SignalRole,
@@ -294,57 +294,16 @@ impl std::ops::AddAssign for ProductStats {
     }
 }
 
-/// The incremental replay checker behind certification, in one of two
-/// configurations. [`CertChecker::Hinted`] (the default) records conflict
-/// cores during replay so a check's artifact is emitted backward-trimmed
-/// with inline LRAT-style hints; [`CertChecker::Forward`]
-/// (`--cert-forward`) is the plain checker whose artifacts are full
-/// forward-replay DRUP renders.
-#[derive(Debug)]
-enum CertChecker {
-    Hinted(HintedTracker),
-    Forward(Checker),
-}
-
-impl CertChecker {
-    fn new(forward: bool) -> Self {
-        if forward {
-            CertChecker::Forward(Checker::new())
-        } else {
-            CertChecker::Hinted(HintedTracker::new())
-        }
-    }
-
-    fn feed(&mut self, steps: &[fastpath_sat::ProofStep]) -> Result<(), CertError> {
-        match self {
-            CertChecker::Hinted(t) => t.feed(steps),
-            CertChecker::Forward(c) => c.feed(steps),
-        }
-    }
-
-    fn verify_unsat(&mut self, assumptions: &[Lit]) -> Result<(), CertError> {
-        match self {
-            CertChecker::Hinted(t) => t.verify_unsat(assumptions),
-            CertChecker::Forward(c) => c.verify_unsat(assumptions),
-        }
-    }
-
-    fn stats(&self) -> fastpath_cert::CheckerStats {
-        match self {
-            CertChecker::Hinted(t) => t.stats(),
-            CertChecker::Forward(c) => c.stats(),
-        }
-    }
-}
-
 /// Live certification state: the incremental checker plus accumulated
 /// counters. The checker consumes each new slice of the solver's proof
 /// trace exactly once (`consumed` marks progress), so certifying a
 /// refinement loop's many checks on one long-lived solver stays linear in
-/// the trace instead of quadratic.
+/// the trace instead of quadratic. It records conflict cores during
+/// replay, so a check's artifact is emitted backward-trimmed with inline
+/// LRAT-style hints.
 #[derive(Debug)]
 struct CertState {
-    checker: CertChecker,
+    checker: HintedTracker,
     /// Trace steps already fed to `checker`.
     consumed: usize,
     /// Accumulated counters; `stats.checker` holds only the counters of
@@ -353,8 +312,6 @@ struct CertState {
     stats: CertStats,
     /// Wall-clock spent in hinted (backward-emitting) certification.
     backward_time: Duration,
-    /// Wall-clock spent in forward-replay certification.
-    forward_time: Duration,
     /// Where to write per-check DIMACS + proof/model artifacts, if
     /// requested.
     artifact_dir: Option<PathBuf>,
@@ -366,13 +323,12 @@ struct CertState {
 }
 
 impl CertState {
-    fn new(forward: bool) -> Self {
+    fn new() -> Self {
         CertState {
-            checker: CertChecker::new(forward),
+            checker: HintedTracker::new(),
             consumed: 0,
             stats: CertStats::default(),
             backward_time: Duration::ZERO,
-            forward_time: Duration::ZERO,
             artifact_dir: None,
             artifact_prefix: String::new(),
             capture: false,
@@ -386,10 +342,9 @@ impl CertState {
 /// verdict is about (activation assumption baked in as a unit) plus its
 /// refutation.
 ///
-/// With hinted certification (the default) the pair is the
-/// backward-trimmed UNSAT core and a hinted proof checkable by
-/// [`fastpath_cert::check_hinted_unsat_artifact`]; with forward
-/// certification it is the full formula and a plain DRUP render for
+/// The pair is the backward-trimmed UNSAT core and a hinted proof
+/// checkable by [`fastpath_cert::check_hinted_unsat_artifact`]; should
+/// hint emission fail, it is the full formula and a plain DRUP render for
 /// [`fastpath_cert::artifacts::revalidate_unsat_artifact`]. A proof cache
 /// stores the pair; on a later hit it is replayed so the cached verdict
 /// is re-certified rather than trusted.
@@ -585,8 +540,6 @@ pub struct Upec2Safety<'m> {
     elab: ElaborationStats,
     /// Independent certification, when enabled.
     cert: Option<CertState>,
-    /// Forward-replay certification instead of the hinted default.
-    cert_forward: bool,
     /// Cross-run learnt-clause reuse, when a store is attached.
     reuse: Option<ReuseState>,
     /// Relational clauses staged for the *next* check only (an IC3
@@ -624,32 +577,8 @@ impl<'m> Upec2Safety<'m> {
             stats_at_reset: SolverStats::default(),
             elab: ElaborationStats::default(),
             cert: None,
-            cert_forward: false,
             reuse: None,
             pending_relational: Vec::new(),
-        }
-    }
-
-    /// Switches certification to forward replay with full DRUP artifact
-    /// renders (the pre-hinted behaviour); hinted backward checking is
-    /// the default. Call order with
-    /// [`enable_certification`](Self::enable_certification) does not
-    /// matter, but the mode is fixed once checks run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any check has already run.
-    pub fn set_cert_forward(&mut self, forward: bool) {
-        assert_eq!(
-            self.checks, 0,
-            "certification mode must be chosen before the first check"
-        );
-        self.cert_forward = forward;
-        if let Some(cert) = &mut self.cert {
-            cert.checker = CertChecker::new(forward);
-            if forward {
-                self.encoder.enable_proof_text();
-            }
         }
     }
 
@@ -677,17 +606,12 @@ impl<'m> Upec2Safety<'m> {
         });
     }
 
-    /// Wall-clock spent certifying, split `(hinted backward, forward
-    /// replay)`. Exactly one side accumulates per engine, depending on
-    /// [`set_cert_forward`](Self::set_cert_forward); both zero when
-    /// certification is off. Kept out of [`CertStats`] so deterministic
-    /// reports never embed timings.
-    pub fn cert_times(&self) -> (Duration, Duration) {
+    /// Wall-clock spent certifying; zero when certification is off. Kept
+    /// out of [`CertStats`] so deterministic reports never embed timings.
+    pub fn cert_time(&self) -> Duration {
         self.cert
             .as_ref()
-            .map_or((Duration::ZERO, Duration::ZERO), |c| {
-                (c.backward_time, c.forward_time)
-            })
+            .map_or(Duration::ZERO, |c| c.backward_time)
     }
 
     /// Selects how `Z'` is lowered into the SAT instance (see
@@ -738,12 +662,7 @@ impl<'m> Upec2Safety<'m> {
         );
         if self.cert.is_none() {
             self.encoder.enable_proof_logging();
-            if self.cert_forward {
-                // Forward artifacts render full DRUP text; the buffered
-                // renderer amortizes that across the run.
-                self.encoder.enable_proof_text();
-            }
-            self.cert = Some(CertState::new(self.cert_forward));
+            self.cert = Some(CertState::new());
         }
     }
 
@@ -954,10 +873,10 @@ impl<'m> Upec2Safety<'m> {
             // A fresh solver means a fresh trace: fold the outgoing
             // checker's counters and start a matching fresh checker.
             cert.stats.checker.merge(&cert.checker.stats());
-            cert.checker = CertChecker::new(self.cert_forward);
+            cert.checker = HintedTracker::new();
             cert.consumed = 0;
             self.encoder.enable_proof_logging();
-            if self.cert_forward || cert.artifact_dir.is_some() {
+            if cert.artifact_dir.is_some() {
                 self.encoder.enable_proof_text();
             }
         }
@@ -1882,14 +1801,12 @@ impl<'m> Upec2Safety<'m> {
             // during replay — no DRUP text is rendered or re-parsed. On
             // any emission failure the forward render below takes over.
             if cert.capture && verdict.is_ok() && !sat {
-                if let CertChecker::Hinted(tracker) = &cert.checker {
-                    if let Ok((cnf, hints)) = tracker.emit_hinted(assumptions) {
-                        cert.last_artifact = Some(ProofArtifact {
-                            cnf,
-                            drup: hints,
-                            hinted: true,
-                        });
-                    }
+                if let Ok((cnf, hints)) = cert.checker.emit_hinted(assumptions) {
+                    cert.last_artifact = Some(ProofArtifact {
+                        cnf,
+                        drup: hints,
+                        hinted: true,
+                    });
                 }
             }
             let need_forward = cert.artifact_dir.is_some()
@@ -1933,10 +1850,7 @@ impl<'m> Upec2Safety<'m> {
                 }
             }
         }
-        match &cert.checker {
-            CertChecker::Hinted(_) => cert.backward_time += started.elapsed(),
-            CertChecker::Forward(_) => cert.forward_time += started.elapsed(),
-        }
+        cert.backward_time += started.elapsed();
         verdict
     }
 }
@@ -2346,39 +2260,18 @@ mod tests {
         // concrete replay instead).
         assert!(!upec.check_certified(&[]).outcome.holds());
         assert!(upec.take_last_artifact().is_none());
-        // UNSAT check: the captured pair is the hinted backward trim by
-        // default, and must re-certify from text alone — exactly what a
-        // proof cache does on a hit.
+        // UNSAT check: the captured pair is the hinted backward trim, and
+        // must re-certify from text alone — exactly what a proof cache
+        // does on a hit.
         upec.add_software_constraint(mode_off);
         assert!(upec.check_certified(&[]).outcome.holds());
         let artifact = upec.take_last_artifact().expect("captured");
-        assert!(artifact.hinted, "hinted backward checking is the default");
+        assert!(artifact.hinted, "certification checks backward, with hints");
         fastpath_cert::check_hinted_unsat_artifact(&artifact.cnf, &artifact.drup)
             .expect("captured artifact certifies");
-        let (backward, forward) = upec.cert_times();
-        assert!(backward > std::time::Duration::ZERO);
-        assert_eq!(forward, std::time::Duration::ZERO);
+        assert!(upec.cert_time() > std::time::Duration::ZERO);
         // Take is destructive.
         assert!(upec.take_last_artifact().is_none());
-    }
-
-    #[test]
-    fn forward_mode_captures_plain_drup() {
-        let (module, mode_off) = modal();
-        let mut upec = Upec2Safety::new(&module, &UpecSpec::default());
-        upec.set_cert_forward(true);
-        upec.enable_certification();
-        upec.enable_artifact_capture();
-        assert!(!upec.check_certified(&[]).outcome.holds());
-        upec.add_software_constraint(mode_off);
-        assert!(upec.check_certified(&[]).outcome.holds());
-        let artifact = upec.take_last_artifact().expect("captured");
-        assert!(!artifact.hinted, "--cert-forward renders plain DRUP");
-        fastpath_cert::artifacts::revalidate_unsat_artifact(&artifact.cnf, &artifact.drup)
-            .expect("forward artifact certifies");
-        let (backward, forward) = upec.cert_times();
-        assert_eq!(backward, std::time::Duration::ZERO);
-        assert!(forward > std::time::Duration::ZERO);
     }
 
     #[test]

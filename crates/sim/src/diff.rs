@@ -15,7 +15,7 @@
 use crate::ift::IftSimulation;
 use crate::simulator::Simulator;
 use crate::taint::{FlowPolicy, TaintSimulator};
-use crate::tape::{CompiledSim, CompiledTaintSim, SimEngine, SimTape};
+use crate::tape::{CompiledSim, CompiledTaintSim, SimTape};
 use crate::testbench::RandomTestbench;
 use fastpath_rtl::{BitVec, Module, SignalId, SignalKind};
 use rand::rngs::StdRng;
@@ -151,9 +151,9 @@ pub fn check_ift_report(
         .with_policy(policy)
         .with_declassified(declassify);
     let mut tb = RandomTestbench::new(module, seed);
-    let interp = sim.run_with_engine(module, &mut tb, SimEngine::Interp);
+    let interp = sim.run(module, &mut tb);
     let mut tb = RandomTestbench::new(module, seed);
-    let comp = sim.run_with_engine(module, &mut tb, SimEngine::Compiled);
+    let comp = sim.run_compiled(module, &Arc::new(SimTape::compile(module)), &mut tb);
     let name = module.name();
     if interp.violations != comp.violations {
         return Err(format!("{name}: IFT violations differ ({policy:?})"));

@@ -15,7 +15,7 @@
 //!   induction and eliminates most of the manual partitioning effort.
 
 use crate::taint::{FlowPolicy, TaintEngine, TaintSimulator};
-use crate::tape::{CompiledTaintSim, SimEngine, SimTape};
+use crate::tape::{CompiledTaintSim, SimTape};
 use crate::testbench::Testbench;
 use fastpath_rtl::{Module, SignalId, SignalRole};
 use std::collections::HashSet;
@@ -93,23 +93,6 @@ impl IftSimulation {
     ) -> IftReport {
         let sim = CompiledTaintSim::with_tape(module, Arc::clone(tape), self.policy);
         self.run_inner(module, testbench, sim, None)
-    }
-
-    /// Runs on the selected [`SimEngine`] — the interpretive oracle or
-    /// the compiled tape (compiling the module on the spot).
-    pub fn run_with_engine(
-        &self,
-        module: &Module,
-        testbench: &mut dyn Testbench,
-        engine: SimEngine,
-    ) -> IftReport {
-        match engine {
-            SimEngine::Interp => self.run(module, testbench),
-            SimEngine::Compiled => {
-                let tape = Arc::new(SimTape::compile(module));
-                self.run_compiled(module, &tape, testbench)
-            }
-        }
     }
 
     fn run_inner<E: TaintEngine>(

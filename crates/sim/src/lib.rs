@@ -14,8 +14,9 @@
 //! [`CompiledTaintSim`] — that execute a levelized instruction tape
 //! ([`SimTape`]) over a flat `u64` arena instead of walking the
 //! expression tree, with an allocation-free fast path for signals at most
-//! 64 bits wide. The interpretive simulators are the reference oracle;
-//! [`SimEngine`] selects the backend at flow level.
+//! 64 bits wide. The flow simulates on the compiled tape; the
+//! interpretive simulators are the reference oracle that [`diff`] and the
+//! engine-equivalence tests compare it against.
 //!
 //! On top of these, [`IftSimulation`] runs the FastPath IFT step: taint all
 //! data inputs `X_D`, simulate a [`Testbench`], check `X_D =/=> Y_C`, and
@@ -65,6 +66,6 @@ mod vcd;
 pub use ift::{check_no_flow, observation_targets, IftReport, IftSimulation, IftViolation};
 pub use simulator::Simulator;
 pub use taint::{FlowPolicy, Labeled, TaintEngine, TaintSimulator};
-pub use tape::{CompiledSim, CompiledTaintSim, SimEngine, SimTape};
+pub use tape::{CompiledSim, CompiledTaintSim, SimTape};
 pub use testbench::{RandomTestbench, Testbench};
 pub use vcd::VcdRecorder;

@@ -36,43 +36,7 @@
 use crate::taint::{FlowPolicy, Labeled, TaintEngine};
 use fastpath_rtl::{BitVec, Module, SignalId, SignalKind};
 use std::cmp::Ordering;
-use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
-
-/// Which simulation backend executes IFT runs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SimEngine {
-    /// The tree-walking interpretive engines (the reference oracle).
-    Interp,
-    /// The levelized compiled instruction tape (default).
-    #[default]
-    Compiled,
-}
-
-impl fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimEngine::Interp => write!(f, "interp"),
-            SimEngine::Compiled => write!(f, "compiled"),
-        }
-    }
-}
-
-impl FromStr for SimEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" => Ok(SimEngine::Interp),
-            "compiled" => Ok(SimEngine::Compiled),
-            other => Err(format!(
-                "unknown sim engine `{other}` (expected `interp` or \
-                 `compiled`)"
-            )),
-        }
-    }
-}
 
 /// A value's view into the arena: `limbs` little-endian `u64`s starting at
 /// `offset`, of which the low `width` bits are meaningful (and the rest
@@ -1508,16 +1472,6 @@ mod tests {
         }
         assert!(!comp.is_tainted(w));
         assert!(!comp.is_tainted(out));
-    }
-
-    #[test]
-    fn sim_engine_parses_and_displays() {
-        assert_eq!("interp".parse::<SimEngine>(), Ok(SimEngine::Interp));
-        assert_eq!("compiled".parse::<SimEngine>(), Ok(SimEngine::Compiled));
-        assert!("jit".parse::<SimEngine>().is_err());
-        assert_eq!(SimEngine::Interp.to_string(), "interp");
-        assert_eq!(SimEngine::default(), SimEngine::Compiled);
-        assert_eq!(SimEngine::Compiled.to_string(), "compiled");
     }
 
     #[test]

@@ -173,4 +173,15 @@ fn ablations_change_effort_but_not_verdicts() {
         without_ift.manual_inspections,
         with_ift.manual_inspections
     );
+    // A constraint derived without simulation keeps `Z'`, so every
+    // register is found and counted as a propagation exactly once.
+    let removed: usize = without_ift
+        .events
+        .iter()
+        .map(|e| match e {
+            FlowEvent::PropagationsRemoved { count } => *count,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(Some(removed), without_ift.total_propagations);
 }

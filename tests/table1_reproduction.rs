@@ -5,9 +5,10 @@
 //! manual-effort reduction. (Absolute counts differ from the paper because
 //! the substrates are reimplemented models; see EXPERIMENTS.md.)
 
+use fastpath::cache::CacheKind;
 use fastpath::{
-    effort_reduction, run_baseline, run_fastpath, run_fastpath_with, CompletionMethod, FlowEvent,
-    FlowOptions, MemoryCache, ProofCache, UpecEngine, Verdict,
+    effort_reduction, run_baseline, run_baseline_with, run_fastpath, run_fastpath_with,
+    CompletionMethod, FlowEvent, FlowOptions, MemoryCache, ProofCache, UpecEngine, Verdict,
 };
 use fastpath_formal::IC3_PROPAGATION_BUDGET;
 use std::sync::Arc;
@@ -245,6 +246,69 @@ fn cva6_baseline_ic3_discharge_saves_one_inspection() {
         (3, 110, 109, 22_915, 56)
     );
     assert_eq!(ic3.attempts, 3);
+}
+
+/// A cache that stores everything but never serves a SecIC3 invariant.
+#[derive(Debug)]
+struct NoInvariants(MemoryCache);
+
+impl ProofCache for NoInvariants {
+    fn load(&self, kind: CacheKind, key: &fastpath_rtl::Digest) -> Option<String> {
+        (kind != CacheKind::Invariant)
+            .then(|| self.0.load(kind, key))
+            .flatten()
+    }
+
+    fn store(&self, kind: CacheKind, key: &fastpath_rtl::Digest, entry: &str) {
+        self.0.store(kind, key, entry);
+    }
+}
+
+#[test]
+fn a_cold_discharge_after_cached_checks_dumps_under_the_baseline_name() {
+    // The warm run serves every check of CVA6-DIV's baseline from the
+    // cache, but not the invariant, so its SecIC3 discharge runs cold and
+    // is the first to need a UPEC engine. The strengthened check's
+    // artifacts must carry the baseline's name: under the FastPath
+    // flow's they would overwrite that flow's own files.
+    let study = fastpath_designs::cva6_div::case_study();
+    let shared: Arc<dyn ProofCache> = Arc::new(NoInvariants(MemoryCache::new()));
+    let dir = std::env::temp_dir().join(format!(
+        "fastpath_baseline_artifacts_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = |dump_artifacts| FlowOptions {
+        cache: Some(Arc::clone(&shared)),
+        dump_artifacts,
+        ..FlowOptions::default()
+    };
+    let cold = run_baseline_with(&study, options(None));
+    let warm = run_baseline_with(&study, options(Some(dir.clone())));
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .map(|entries| {
+            entries
+                .map(|e| {
+                    e.expect("artifact entry")
+                        .file_name()
+                        .to_string_lossy()
+                        .into()
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(warm.manual_inspections, cold.manual_inspections);
+    assert!(warm
+        .events
+        .iter()
+        .any(|e| matches!(e, FlowEvent::Ic3Discharged { .. })));
+    assert!(!names.is_empty(), "the cold discharge dumps its check");
+    assert!(
+        names.iter().all(|name| name.contains("_baseline_")),
+        "{names:?}"
+    );
 }
 
 #[test]

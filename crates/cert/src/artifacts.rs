@@ -1,18 +1,25 @@
-//! Textual certificate artifacts for external cross-auditing.
+//! Textual certificate artifacts: the stored UNSAT certificate and the
+//! dumps for external cross-auditing.
+//!
+//! An UNSAT certificate has one stored form. [`HintedTracker`] replays the
+//! engine's live trace backward and emits each refuted check as a
+//! `(core CNF, hinted proof)` pair: the clauses the refutation used, and
+//! one line per needed learnt clause carrying its LRAT-style propagation
+//! hints. [`check_hinted_unsat_artifact`] re-certifies such a pair from
+//! text alone, so a verdict served from a content-addressed proof cache
+//! is *re-certified on load* instead of trusted — a tampered or bit-rotted
+//! artifact is rejected and the check falls back to a fresh proof.
 //!
 //! A dumped check is two files: a DIMACS CNF (the exact formula the
 //! incremental engine held, rendered by [`fastpath_sat::Cnf::from_steps`]
 //! with the check's assumptions baked in as unit clauses) and either a
-//! DRUP proof ([`proof_to_drup`], UNSAT checks) or a SAT-competition model
-//! line ([`model_to_text`], SAT checks). `drat-trim CHECK.cnf CHECK.drup`
-//! verifies the former; any DIMACS-aware solver confirms the latter.
-
-//! The module also runs the reverse direction: [`parse_drup`] reads a
-//! textual proof back into steps and [`revalidate_unsat_artifact`] replays
-//! a stored `(CNF, DRUP)` pair through the RUP checker, so a verdict
-//! served from a content-addressed proof cache is *re-certified on load*
-//! instead of trusted — a tampered or bit-rotted artifact is rejected and
-//! the check falls back to a fresh proof.
+//! plain DRUP proof ([`proof_to_drup`], UNSAT checks) or a
+//! SAT-competition model line ([`model_to_text`], SAT checks).
+//! `drat-trim CHECK.cnf CHECK.drup` verifies the former; any DIMACS-aware
+//! solver confirms the latter. [`parse_drup`] reads a plain proof back
+//! into steps and [`revalidate_unsat_artifact`] replays a `(CNF, DRUP)`
+//! pair through the forward RUP checker: the in-repo reference for the
+//! dumped pairs.
 
 use crate::checker::{check_unsat_certificate, CertError, Checker, CheckerStats};
 use fastpath_sat::{parse_dimacs, Lit, ProofStep, Var};
@@ -165,14 +172,14 @@ pub fn parse_drup(text: &str, num_vars: usize) -> Result<Vec<ProofStep>, Revalid
     Ok(steps)
 }
 
-/// Re-validates a stored `(DIMACS CNF, DRUP proof)` artifact pair from
-/// scratch: the CNF clauses become axioms, the DRUP lines replay as
-/// learn/delete steps, and the whole derivation must certify UNSAT under
-/// the independent RUP checker.
+/// Re-validates a `(DIMACS CNF, DRUP proof)` artifact pair from scratch:
+/// the CNF clauses become axioms, the DRUP lines replay as learn/delete
+/// steps, and the whole derivation must certify UNSAT under the forward
+/// RUP checker.
 ///
-/// This is the certification-on-load path of the proof cache: a cache hit
-/// only counts as a *certified* verdict if its artifacts still prove the
-/// claim today.
+/// This is the reference check for the plain pairs the engine dumps for
+/// external tools; stored proofs are hinted and re-certified by
+/// [`check_hinted_unsat_artifact`].
 ///
 /// # Errors
 ///
@@ -188,183 +195,21 @@ pub fn revalidate_unsat_artifact(
     check_unsat_certificate(&steps, &[]).map_err(RevalidateError::Check)
 }
 
-/// Backward-trims a valid `(DIMACS CNF, DRUP proof)` artifact pair down to
-/// the clauses its final refutation actually uses, returning the trimmed
-/// pair `(core CNF, trimmed DRUP)`.
-///
-/// The full proof is replayed once with conflict-core tracking: every RUP
-/// probe records the clauses its unit-propagation derivation touched, and
-/// a backward pass from the final contradiction marks the transitively
-/// needed axioms and learnt clauses. Deletion lines are dropped — they
-/// only ever weaken propagation, and every retained clause is a valid
-/// consequence, so keeping them active is sound.
-///
-/// Soundness of serving the trimmed pair in place of the original:
-/// unsatisfiability of a clause *subset* implies unsatisfiability of the
-/// whole formula, so a checker that certifies the core certifies the
-/// original claim. The trimmed pair is re-validated through
-/// [`revalidate_unsat_artifact`] before being returned, so a caller can
-/// store it knowing it will certify on load.
-///
-/// This is what makes certification-on-load cheap enough for a hot proof
-/// cache: replay cost scales with the refutation's core, not with every
-/// clause the solver ever learnt.
-///
-/// # Errors
-///
-/// Returns [`RevalidateError`] if the input pair fails to parse or does
-/// not certify (only valid artifacts can be trimmed).
-pub fn trim_unsat_artifact(
-    cnf_text: &str,
-    drup_text: &str,
-) -> Result<(String, String), RevalidateError> {
-    let trimmed = trim_replay(cnf_text, drup_text)?;
-    // Never hand back a pair that would miss on load.
-    revalidate_unsat_artifact(&trimmed.core_cnf, &trimmed.drup)?;
-    Ok((trimmed.core_cnf, trimmed.drup))
-}
-
-/// Like [`trim_unsat_artifact`], but the proof side carries LRAT-style
-/// propagation hints: each retained learnt clause lists, in order, the
-/// clauses whose unit propagations derive its conflict (conflicting
-/// clause last). Validating a hinted proof ([`check_hinted_unsat_artifact`])
-/// walks the hint chains instead of running full unit propagation, so it
-/// is linear in the proof text — the format the proof cache stores.
-///
-/// # Errors
-///
-/// Returns [`RevalidateError`] if the input pair fails to parse or does
-/// not certify.
-pub fn trim_unsat_artifact_hinted(
-    cnf_text: &str,
-    drup_text: &str,
-) -> Result<(String, String), RevalidateError> {
-    let trimmed = trim_replay(cnf_text, drup_text)?;
-    // Never hand back a pair that would miss on load.
-    check_hinted_unsat_artifact(&trimmed.core_cnf, &trimmed.hinted)?;
-    Ok((trimmed.core_cnf, trimmed.hinted))
-}
-
-struct Trimmed {
-    core_cnf: String,
-    drup: String,
-    hinted: String,
-}
-
-/// The shared tracked replay behind both trim flavours.
-fn trim_replay(cnf_text: &str, drup_text: &str) -> Result<Trimmed, RevalidateError> {
-    let cnf = parse_dimacs(cnf_text).map_err(|e| RevalidateError::Cnf(e.to_string()))?;
-    let drup_steps = parse_drup(drup_text, cnf.num_vars)?;
-
-    // Tracked replay: feed step by step so each admitted clause's index
-    // can be tied back to its source (CNF clause or proof line).
-    let mut checker = Checker::with_core_tracking();
-    let mut axioms: Vec<(u32, usize)> = Vec::new(); // (cref, CNF clause index)
-    for (index, clause) in cnf.clauses.iter().enumerate() {
-        let cref = checker.clause_count() as u32;
-        checker
-            .feed(&[ProofStep::Axiom(clause.clone())])
-            .map_err(RevalidateError::Check)?;
-        if checker.clause_count() > cref as usize {
-            axioms.push((cref, index));
-        }
-    }
-    let mut learns: Vec<(u32, Vec<Lit>)> = Vec::new(); // (cref, literals)
-    for step in &drup_steps {
-        let cref = checker.clause_count() as u32;
-        checker
-            .feed(std::slice::from_ref(step))
-            .map_err(RevalidateError::Check)?;
-        if let ProofStep::Learn(lits) = step {
-            if !lits.is_empty() && checker.clause_count() > cref as usize {
-                learns.push((cref, lits.clone()));
-            }
-        }
-    }
-    checker.verify_unsat(&[]).map_err(RevalidateError::Check)?;
-    let final_hints: Vec<u32> = checker.final_core().unwrap_or(&[]).to_vec();
-
-    // Backward pass: the final conflict's core, closed under each needed
-    // learnt clause's own probe core.
-    let mut needed: HashSet<u32> = HashSet::new();
-    let mut stack: Vec<u32> = final_hints.clone();
-    while let Some(cref) = stack.pop() {
-        if needed.insert(cref) {
-            if let Some(core) = checker.learn_core(cref) {
-                stack.extend_from_slice(core);
-            }
-        }
-    }
-
-    // Renumber kept clauses: core-CNF axioms first, kept learns after, in
-    // original order. Every hint lands in `needed` by construction.
-    let kept_axioms: Vec<(u32, usize)> = axioms
-        .iter()
-        .filter(|(cref, _)| needed.contains(cref))
-        .copied()
-        .collect();
-    let kept_learns: Vec<&(u32, Vec<Lit>)> = learns
-        .iter()
-        .filter(|(cref, _)| needed.contains(cref))
-        .collect();
-    let mut new_index: HashMap<u32, u32> = HashMap::new();
-    for (next, (cref, _)) in kept_axioms.iter().enumerate() {
-        new_index.insert(*cref, next as u32);
-    }
-    for (offset, (cref, _)) in kept_learns.iter().enumerate() {
-        new_index.insert(*cref, (kept_axioms.len() + offset) as u32);
-    }
-    let map_hints = |hints: &[u32]| -> Result<Vec<u32>, RevalidateError> {
-        hints
-            .iter()
-            .map(|h| {
-                new_index
-                    .get(h)
-                    .copied()
-                    .ok_or_else(|| RevalidateError::Drup("hint outside trimmed core".into()))
-            })
-            .collect()
-    };
-
-    let mut core_cnf = format!("p cnf {} {}\n", cnf.num_vars, kept_axioms.len());
-    for &(_, index) in &kept_axioms {
-        write_clause(&mut core_cnf, &cnf.clauses[index]);
-    }
-    let mut drup = String::new();
-    let mut hinted = String::new();
-    for (cref, lits) in &kept_learns {
-        write_clause(&mut drup, lits);
-        write_hinted_line(
-            &mut hinted,
-            lits,
-            &map_hints(checker.learn_core(*cref).unwrap_or(&[]))?,
-        );
-    }
-    let _ = writeln!(drup, "0");
-    write_hinted_line(&mut hinted, &[], &map_hints(&final_hints)?);
-    Ok(Trimmed {
-        core_cnf,
-        drup,
-        hinted,
-    })
-}
-
 /// An incremental, core-tracking replay that emits trimmed hinted
 /// artifacts directly from the live trace.
 ///
-/// This is the backward-certification fast path: a long-lived engine feeds
-/// each check's new trace steps exactly once (like [`Checker`]), and after
-/// a successful [`HintedTracker::verify_unsat`] the caller asks for the
-/// check's artifact with [`HintedTracker::emit_hinted`] — the UNSAT core
-/// is extracted from conflict cores recorded *during* the replay, so no
-/// DRUP text is rendered, parsed back, or replayed a second time (the
-/// [`trim_unsat_artifact_hinted`] round trip this supersedes).
+/// This is how the engine certifies: a long-lived engine feeds each
+/// check's new trace steps exactly once, and after a successful
+/// [`HintedTracker::verify_unsat`] the caller asks for the check's
+/// artifact with [`HintedTracker::emit_hinted`] — the UNSAT core is
+/// extracted from conflict cores recorded *during* the replay, so no DRUP
+/// text is rendered, parsed back, or replayed a second time.
 ///
-/// The one structural difference from the offline trimmer: assumptions are
-/// not baked into the fed trace, so the emitted core CNF appends one unit
-/// clause per assumption (the stored-artifact convention) and the final
-/// hint chain starts with those units — replaying them reproduces the
-/// probe's assumed literals before the recorded derivation runs.
+/// Assumptions are not baked into the fed trace, so the emitted core CNF
+/// appends one unit clause per assumption (the stored-artifact
+/// convention) and the final hint chain starts with those units —
+/// replaying them reproduces the probe's assumed literals before the
+/// recorded derivation runs.
 #[derive(Debug, Default)]
 pub struct HintedTracker {
     checker: Checker,
@@ -568,7 +413,7 @@ fn write_hinted_line(out: &mut String, lits: &[Lit], hints: &[u32]) {
 }
 
 /// Validates a `(core CNF, hinted proof)` pair produced by
-/// [`trim_unsat_artifact_hinted`] without running unit propagation: for
+/// [`HintedTracker::emit_hinted`] without running unit propagation: for
 /// each proof line the learnt clause's negation is assumed and the hint
 /// clauses are walked in order — each must be unit (its literal is
 /// assigned) or conflicting (ends the line). The final line must be the
@@ -580,8 +425,8 @@ fn write_hinted_line(out: &mut String, lits: &[Lit], hints: &[u32]) {
 /// the axioms and previously accepted lines (the hint walk *is* a unit
 /// propagation derivation, just one the prover scripted in advance), so
 /// an accepted empty clause certifies the CNF unsatisfiable exactly as
-/// [`revalidate_unsat_artifact`] would — only the search for the
-/// derivation is skipped, never the derivation itself.
+/// the forward checker would — only the search for the derivation is
+/// skipped, never the derivation itself.
 ///
 /// # Errors
 ///
@@ -837,11 +682,38 @@ mod tests {
         (cnf, drup)
     }
 
+    /// A proof-logging solver over `2..=9` fresh variables and `4..=40`
+    /// random clauses of one to three literals.
+    fn random_instance(rng: &mut rand::rngs::StdRng) -> (fastpath_sat::Solver, Vec<Var>) {
+        use rand::Rng;
+        let num_vars = rng.gen_range(2..=9usize);
+        let num_clauses = rng.gen_range(4..=40usize);
+        let mut s = fastpath_sat::Solver::new();
+        s.enable_proof_logging();
+        let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
+        for _ in 0..num_clauses {
+            let len = rng.gen_range(1..=3usize);
+            let lits: Vec<Lit> = (0..len)
+                .map(|_| vars[rng.gen_range(0..num_vars)].lit(rng.gen_bool(0.5)))
+                .collect();
+            s.add_clause(&lits);
+        }
+        (s, vars)
+    }
+
+    /// Up to two random assumption literals over `vars`.
+    fn random_assumptions(rng: &mut rand::rngs::StdRng, vars: &[Var]) -> Vec<Lit> {
+        use rand::Rng;
+        (0..rng.gen_range(0..=2usize))
+            .map(|_| vars[rng.gen_range(0..vars.len())].lit(rng.gen_bool(0.5)))
+            .collect()
+    }
+
     #[test]
-    fn trimmed_artifacts_certify_and_shrink() {
+    fn hinted_artifacts_certify_and_reject_corruption() {
         use fastpath_sat::{Cnf, SolveResult, Solver};
         // A formula with an obvious irrelevant half: x/y force UNSAT, the
-        // a/b clauses are satisfiable padding the trimmer should drop.
+        // a/b clauses are satisfiable padding no refutation needs.
         let mut s = Solver::new();
         s.enable_proof_logging();
         let x = s.new_var();
@@ -855,76 +727,24 @@ mod tests {
         s.add_clause(&[x.negative(), y.positive()]);
         s.add_clause(&[x.negative(), y.negative()]);
         assert_eq!(s.solve(), SolveResult::Unsat);
-        let steps = s.proof().expect("logged").steps().to_vec();
-        let cnf = Cnf::from_steps(&steps, &[]).to_dimacs();
-        let drup = proof_to_drup(&steps, &[]);
-
-        let (core_cnf, trimmed) = trim_unsat_artifact(&cnf, &drup).expect("trims");
-        // The trimmed pair must certify on its own...
-        revalidate_unsat_artifact(&core_cnf, &trimmed).expect("trimmed pair certifies");
-        // ...and must not have grown.
-        assert!(core_cnf.len() <= cnf.len());
-        assert!(trimmed.len() <= drup.len());
-        // The padding clauses over a/b cannot be part of any refutation.
-        let core = parse_dimacs(&core_cnf).expect("core parses");
-        let a_lit = a.positive();
-        let b_lit = b.positive();
-        for clause in &core.clauses {
-            assert!(
-                !clause
-                    .iter()
-                    .any(|l| l.var() == a_lit.var() || l.var() == b_lit.var()),
-                "irrelevant clause survived trimming: {clause:?}"
-            );
-        }
-        // Tampering with the trimmed core is still caught.
-        let missing_axiom = core_cnf.replacen("-1 -2 0\n", "", 1);
-        if missing_axiom != core_cnf {
-            assert!(revalidate_unsat_artifact(&missing_axiom, &trimmed).is_err());
-        }
-    }
-
-    #[test]
-    fn trimming_random_unsat_instances_preserves_certification() {
-        use fastpath_sat::{Cnf, SolveResult, Solver, Var};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x7219);
-        let mut trimmed_any = false;
-        for round in 0..120 {
-            let num_vars = rng.gen_range(2..=9usize);
-            let num_clauses = rng.gen_range(4..=40usize);
-            let mut s = Solver::new();
-            s.enable_proof_logging();
-            let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
-            for _ in 0..num_clauses {
-                let len = rng.gen_range(1..=3usize);
-                let lits: Vec<_> = (0..len)
-                    .map(|_| vars[rng.gen_range(0..num_vars)].lit(rng.gen_bool(0.5)))
-                    .collect();
-                s.add_clause(&lits);
-            }
-            if s.solve() != SolveResult::Unsat {
-                continue;
-            }
-            let steps = s.proof().expect("logged").steps().to_vec();
-            let cnf = Cnf::from_steps(&steps, &[]).to_dimacs();
-            let drup = proof_to_drup(&steps, &[]);
-            let (core_cnf, trimmed) = trim_unsat_artifact(&cnf, &drup)
-                .unwrap_or_else(|e| panic!("round {round}: trim failed: {e}"));
-            revalidate_unsat_artifact(&core_cnf, &trimmed)
-                .unwrap_or_else(|e| panic!("round {round}: trimmed pair rejected: {e}"));
-            trimmed_any |= core_cnf.len() < cnf.len() || trimmed.len() < drup.len();
-        }
-        assert!(trimmed_any, "no instance shrank — trimming is inert");
-    }
-
-    #[test]
-    fn hinted_artifacts_certify_and_reject_corruption() {
-        let (cnf, drup) = unsat_artifact();
-        let (core_cnf, hinted) = trim_unsat_artifact_hinted(&cnf, &drup).expect("trims");
+        let steps = s.proof().expect("logged").steps();
+        let mut tracker = HintedTracker::new();
+        tracker.feed(steps).expect("replay ok");
+        tracker.verify_unsat(&[]).expect("refuted");
+        let (core_cnf, hinted) = tracker.emit_hinted(&[]).expect("emits");
         let stats = check_hinted_unsat_artifact(&core_cnf, &hinted).expect("hinted certifies");
         assert!(stats.axioms > 0);
+        // The padding clauses over a/b never enter the core, so the
+        // emitted CNF is smaller than the whole formula.
+        let full_cnf = Cnf::from_steps(steps, &[]).to_dimacs();
+        assert!(core_cnf.len() < full_cnf.len());
+        let core = parse_dimacs(&core_cnf).expect("core parses");
+        for clause in &core.clauses {
+            assert!(
+                !clause.iter().any(|l| l.var() == a || l.var() == b),
+                "irrelevant clause entered the core: {clause:?}"
+            );
+        }
         // Dropping an axiom makes the scripted hints dangle or the final
         // refutation fail — either way a typed rejection, never a verdict.
         let tampered = core_cnf.replacen("-1 -2 0\n", "", 1);
@@ -948,35 +768,38 @@ mod tests {
 
     #[test]
     fn hinting_random_unsat_instances_preserves_certification() {
-        use fastpath_sat::{Cnf, SolveResult, Solver, Var};
+        use fastpath_sat::SolveResult;
         use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
+        // The engine's pattern on random formulas: one solver and one
+        // tracker across several solves, each trace slice fed once and
+        // each refutation emitted at its own snapshot.
         let mut rng = StdRng::seed_from_u64(0x51c3);
         let mut checked = 0usize;
         for round in 0..120 {
-            let num_vars = rng.gen_range(2..=9usize);
-            let num_clauses = rng.gen_range(4..=40usize);
-            let mut s = Solver::new();
-            s.enable_proof_logging();
-            let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
-            for _ in 0..num_clauses {
-                let len = rng.gen_range(1..=3usize);
-                let lits: Vec<_> = (0..len)
-                    .map(|_| vars[rng.gen_range(0..num_vars)].lit(rng.gen_bool(0.5)))
-                    .collect();
-                s.add_clause(&lits);
+            let (mut s, vars) = random_instance(&mut rng);
+            let mut tracker = HintedTracker::new();
+            let mut fed = 0usize;
+            for _ in 0..3 {
+                let assumptions = random_assumptions(&mut rng, &vars);
+                let result = s.solve_with(&assumptions);
+                let snapshot = s.proof_len();
+                tracker
+                    .feed(&s.proof().expect("logged").steps()[fed..snapshot])
+                    .expect("replay ok");
+                fed = snapshot;
+                if result == SolveResult::Unsat {
+                    tracker
+                        .verify_unsat(&assumptions)
+                        .unwrap_or_else(|e| panic!("round {round}: verify failed: {e}"));
+                    let (core_cnf, hinted) = tracker
+                        .emit_hinted(&assumptions)
+                        .unwrap_or_else(|e| panic!("round {round}: emit failed: {e}"));
+                    check_hinted_unsat_artifact(&core_cnf, &hinted)
+                        .unwrap_or_else(|e| panic!("round {round}: hinted pair rejected: {e}"));
+                    checked += 1;
+                }
             }
-            if s.solve() != SolveResult::Unsat {
-                continue;
-            }
-            let steps = s.proof().expect("logged").steps().to_vec();
-            let cnf = Cnf::from_steps(&steps, &[]).to_dimacs();
-            let drup = proof_to_drup(&steps, &[]);
-            let (core_cnf, hinted) = trim_unsat_artifact_hinted(&cnf, &drup)
-                .unwrap_or_else(|e| panic!("round {round}: hinted trim failed: {e}"));
-            check_hinted_unsat_artifact(&core_cnf, &hinted)
-                .unwrap_or_else(|e| panic!("round {round}: hinted pair rejected: {e}"));
-            checked += 1;
         }
         assert!(checked > 10, "too few UNSAT instances exercised: {checked}");
     }
@@ -1026,48 +849,34 @@ mod tests {
     }
 
     #[test]
-    fn hinted_tracker_agrees_with_offline_trimmer_on_random_instances() {
-        use fastpath_sat::{Cnf, SolveResult, Solver, Var};
+    fn hinted_tracker_agrees_with_forward_checker_on_random_instances() {
+        use fastpath_sat::SolveResult;
         use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(0xA11C);
         let mut checked = 0usize;
         for round in 0..120 {
-            let num_vars = rng.gen_range(2..=9usize);
-            let num_clauses = rng.gen_range(4..=40usize);
-            let mut s = Solver::new();
-            s.enable_proof_logging();
-            let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
-            for _ in 0..num_clauses {
-                let len = rng.gen_range(1..=3usize);
-                let lits: Vec<_> = (0..len)
-                    .map(|_| vars[rng.gen_range(0..num_vars)].lit(rng.gen_bool(0.5)))
-                    .collect();
-                s.add_clause(&lits);
-            }
-            let assumptions: Vec<Lit> = (0..rng.gen_range(0..=2usize))
-                .map(|_| vars[rng.gen_range(0..num_vars)].lit(rng.gen_bool(0.5)))
-                .collect();
-            if s.solve_with(&assumptions) != SolveResult::Unsat {
-                continue;
-            }
+            let (mut s, vars) = random_instance(&mut rng);
+            let assumptions = random_assumptions(&mut rng, &vars);
+            let unsat = s.solve_with(&assumptions) == SolveResult::Unsat;
             let snapshot = s.proof_len();
             let steps = &s.proof().expect("logged").steps()[..snapshot];
+            // The forward checker probes every learnt clause; it accepts
+            // exactly the refutations the solver claims.
+            let forward = check_unsat_certificate(steps, &assumptions);
+            assert_eq!(forward.is_ok(), unsat, "round {round}: {forward:?}");
             let mut tracker = HintedTracker::new();
             tracker.feed(steps).expect("replay ok");
-            tracker
-                .verify_unsat(&assumptions)
-                .unwrap_or_else(|e| panic!("round {round}: verify failed: {e}"));
+            let backward = tracker.verify_unsat(&assumptions);
+            assert_eq!(backward.is_ok(), unsat, "round {round}: {backward:?}");
+            if !unsat {
+                continue;
+            }
             let (core_cnf, hinted) = tracker
                 .emit_hinted(&assumptions)
                 .unwrap_or_else(|e| panic!("round {round}: emit failed: {e}"));
             check_hinted_unsat_artifact(&core_cnf, &hinted)
                 .unwrap_or_else(|e| panic!("round {round}: tracker pair rejected: {e}"));
-            // The offline round trip must agree that this is certifiable.
-            let cnf = Cnf::from_steps(steps, &assumptions).to_dimacs();
-            let drup = proof_to_drup(steps, &assumptions);
-            trim_unsat_artifact_hinted(&cnf, &drup)
-                .unwrap_or_else(|e| panic!("round {round}: offline trim failed: {e}"));
             checked += 1;
         }
         assert!(checked > 10, "too few UNSAT instances exercised: {checked}");

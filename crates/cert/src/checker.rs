@@ -125,11 +125,14 @@ enum ConflictSeed {
     Lit(Lit),
 }
 
-/// An incremental forward RUP checker.
+/// An incremental RUP checker.
 ///
 /// Feed trace steps in order with [`Checker::feed`]; between feeds, call
 /// [`Checker::verify_unsat`] to certify that the formula replayed so far
-/// is unsatisfiable under given assumptions. The checker deliberately uses
+/// is unsatisfiable under given assumptions. [`Checker::new`] checks
+/// forward (every learnt clause is probed on admission); the deferred
+/// checker behind [`crate::HintedTracker`] checks backward and records the
+/// conflict cores hint emission needs. The checker deliberately uses
 /// a propagation scheme different from the solver's (occurrence lists with
 /// per-clause non-false counters, not watched literals) so the two
 /// implementations do not share failure modes.
@@ -160,22 +163,21 @@ pub struct Checker {
     order: Vec<u64>,
     /// Next assignment stamp.
     stamp: u64,
-    /// Record conflict cores for [backward trimming](crate::trim_unsat_artifact).
-    track_cores: bool,
     /// Seed of the most recent conflict (valid until the next `undo_to`).
     conflict_seed: Option<ConflictSeed>,
     /// Per learnt clause (by clause index): the clauses its RUP probe's
-    /// conflict derivation touched. Populated only when `track_cores`.
+    /// conflict derivation touched. Populated only in deferred mode.
     learn_cores: HashMap<u32, Vec<u32>>,
     /// Core of the root-level contradiction, captured the moment
-    /// `contradiction` was set. Populated only when `track_cores`.
+    /// `contradiction` was set. Populated only in deferred mode.
     root_core: Option<Vec<u32>>,
     /// Core left behind by the most recent conflicting probe.
     last_probe_core: Option<Vec<u32>>,
     /// Core of the most recent successful `verify_unsat` probe.
     final_core: Option<Vec<u32>>,
-    /// Backward mode: admit `Learn` steps without probing them and verify
-    /// only the needed closure at [`Checker::verify_unsat`] time.
+    /// Backward mode: admit `Learn` steps without probing them, verify
+    /// only the needed closure at [`Checker::verify_unsat`] time, and
+    /// record the conflict cores that closure walks.
     deferred: bool,
     /// Deferred mode: clause index → trace position of its `Learn` step.
     /// Doubles as the is-learnt predicate during backward verification.
@@ -186,19 +188,9 @@ pub struct Checker {
 }
 
 impl Checker {
-    /// Creates an empty checker.
+    /// Creates an empty forward checker.
     pub fn new() -> Self {
         Checker::default()
-    }
-
-    /// Creates a checker that records, for every learnt clause and for the
-    /// final refutation, the set of clauses its conflict derivation
-    /// actually used — the raw material for backward proof trimming.
-    pub(crate) fn with_core_tracking() -> Self {
-        Checker {
-            track_cores: true,
-            ..Checker::default()
-        }
     }
 
     /// Creates a *backward* checker: `Learn` steps are admitted without
@@ -209,9 +201,13 @@ impl Checker {
     /// never probed at all — the standard backward-checking trade: far
     /// less propagation work on SAT-heavy incremental traces, in exchange
     /// for not flagging junk lemmas that nothing depends on.
+    ///
+    /// A deferred checker also records, for every verified learnt clause
+    /// and for the final refutation, the clauses its conflict derivation
+    /// used: the cores [`crate::HintedTracker::emit_hinted`] turns into
+    /// hints.
     pub(crate) fn with_deferred_checking() -> Self {
         Checker {
-            track_cores: true,
             deferred: true,
             ..Checker::default()
         }
@@ -495,15 +491,15 @@ impl Checker {
     /// Captures the core of a conflict reached at root level (while the
     /// reasons behind it are still live) for [`Checker::final_core`].
     fn note_root_conflict(&mut self) {
-        if self.track_cores && self.root_core.is_none() {
+        if self.deferred && self.root_core.is_none() {
             self.root_core = Some(self.capture_core());
         }
     }
 
     /// RUP probe: temporarily assume every literal of `assumed` true,
-    /// propagate, report whether a conflict was reached, and undo. When
-    /// core tracking is on, a conflicting probe leaves its derivation's
-    /// clause set in `last_probe_core`.
+    /// propagate, report whether a conflict was reached, and undo. In
+    /// deferred mode a conflicting probe leaves its derivation's clause
+    /// set in `last_probe_core`.
     fn probes_to_conflict(&mut self, assumed: &[Lit]) -> bool {
         if self.contradiction {
             self.last_probe_core = self.root_core.clone();
@@ -523,7 +519,7 @@ impl Checker {
             }
         }
         let conflict = conflict || self.propagate();
-        if conflict && self.track_cores {
+        if conflict && self.deferred {
             self.last_probe_core = Some(self.capture_core());
         }
         self.undo_to(mark);
@@ -577,15 +573,8 @@ impl Checker {
                         });
                     }
                     self.stats.learns += 1;
-                    let core = self.track_cores.then(|| self.last_probe_core.take());
                     if let Some(norm) = Self::normalize(lits) {
-                        let cref = self.clauses.len() as u32;
                         self.add_clause(norm);
-                        if let (Some(core), true) =
-                            (core.flatten(), self.clauses.len() > cref as usize)
-                        {
-                            self.learn_cores.insert(cref, core);
-                        }
                     }
                 }
                 ProofStep::Delete(lits) => {
@@ -629,10 +618,8 @@ impl Checker {
     /// and unit-propagating does not conflict.
     pub fn verify_unsat(&mut self, assumptions: &[Lit]) -> Result<(), CertError> {
         if self.probes_to_conflict(assumptions) {
-            if self.track_cores {
-                self.final_core = self.last_probe_core.take();
-            }
             if self.deferred {
+                self.final_core = self.last_probe_core.take();
                 let seed = self.final_core.clone().unwrap_or_default();
                 self.verify_backward(&seed)?;
             }
@@ -647,8 +634,7 @@ impl Checker {
     /// Backward verification pass: RUP-checks every unverified learnt
     /// clause in the dependency closure of `seed`, in decreasing clause
     /// order, each against only the clauses admitted *before* it. Cores
-    /// recorded here feed [`Checker::learn_core`] exactly as the eager
-    /// mode's probes would, so hint emission is mode-agnostic.
+    /// recorded here feed [`Checker::learn_core`] for hint emission.
     ///
     /// The scratch assignment starts as the root trail restricted to
     /// literals whose derivation lies entirely below the current bound —

@@ -17,10 +17,11 @@
 //! A cache hit is never trusted blindly:
 //!
 //! * every entry carries a content checksum, verified on decode;
-//! * an `UNSAT` verdict is stored as its `(DIMACS, DRUP)` artifact pair
-//!   and **re-certified on load** through the independent RUP checker
-//!   ([`fastpath_cert::revalidate_unsat_artifact`]) — a tampered or
-//!   bit-rotted proof is rejected and the check is re-proved;
+//! * an `UNSAT` verdict is stored as the `(core CNF, hinted proof)` pair
+//!   the live certification emitted, and **re-certified on load** by
+//!   walking its hints ([`fastpath_cert::check_hinted_unsat_artifact`]) —
+//!   a tampered or bit-rotted proof is rejected and the check is
+//!   re-proved;
 //! * a cached counterexample is replayed through concrete two-instance
 //!   simulation ([`crate::witness::confirm_counterexample`]) before the
 //!   flow acts on it.
@@ -31,7 +32,7 @@
 //! cold runs produce identical reports.
 
 use fastpath_formal::{
-    ProofArtifact, RelationalClause, RelationalLit, StateWitness, UpecCounterexample, UpecEncoding,
+    RelationalClause, RelationalLit, StateWitness, UpecCounterexample, UpecEncoding,
 };
 use fastpath_rtl::{
     write_netlist, BitVec, CanonicalForm, Digest, ExprId, Module, SignalId, SignalKind,
@@ -426,19 +427,10 @@ impl CachedCex {
 /// One memoized UPEC check verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CachedCheck {
-    /// The property held and the solver's refutation is stored alongside;
-    /// the pair is re-certified through the RUP checker on every load.
-    HoldsProof {
-        /// DIMACS CNF of the check formula.
-        cnf: String,
-        /// DRUP refutation of that formula.
-        drup: String,
-    },
-    /// Like [`CachedCheck::HoldsProof`], but the refutation carries
-    /// LRAT-style propagation hints so load-time re-certification is a
-    /// linear hint walk instead of full unit propagation. The preferred
-    /// stored form; plain `HoldsProof` remains the fallback when hinting
-    /// an artifact fails.
+    /// The property held and the refutation is stored alongside: the
+    /// backward-trimmed core of the check formula and a proof whose lines
+    /// carry LRAT-style propagation hints, so load-time re-certification
+    /// is a linear hint walk instead of full unit propagation.
     HoldsHinted {
         /// DIMACS CNF of the trimmed check formula.
         cnf: String,
@@ -583,13 +575,6 @@ pub fn encode_check(entry: &CachedCheck) -> String {
     out.push_str(MAGIC_CHECK);
     out.push('\n');
     match entry {
-        CachedCheck::HoldsProof { cnf, drup } => {
-            out.push_str("holds proof\n");
-            out.push_str(&format!("cnf {}\n", cnf.len()));
-            out.push_str(cnf);
-            out.push_str(&format!("drup {}\n", drup.len()));
-            out.push_str(drup);
-        }
         CachedCheck::HoldsHinted { cnf, proof } => {
             out.push_str("holds hinted\n");
             out.push_str(&format!("cnf {}\n", cnf.len()));
@@ -802,13 +787,6 @@ pub fn decode_check(text: &str) -> Result<CachedCheck, CacheDecodeError> {
     let mut r = Reader::new(text);
     r.line()?; // magic, already verified
     match r.line()? {
-        "holds proof" => {
-            let cnf_len = parse_counted(r.line()?, "cnf ")?;
-            let cnf = r.take(cnf_len)?.to_string();
-            let drup_len = parse_counted(r.line()?, "drup ")?;
-            let drup = r.take(drup_len)?.to_string();
-            Ok(CachedCheck::HoldsProof { cnf, drup })
-        }
         "holds hinted" => {
             let cnf_len = parse_counted(r.line()?, "cnf ")?;
             let cnf = r.take(cnf_len)?.to_string();
@@ -932,41 +910,6 @@ pub fn decode_invariant(text: &str) -> Result<CachedInvariant, CacheDecodeError>
     Ok(CachedInvariant { clauses, check })
 }
 
-/// Packages a captured proof artifact as a storable check entry.
-pub fn check_entry_from_artifact(artifact: ProofArtifact) -> CachedCheck {
-    // Hinted certification (the default) already emitted the artifact as
-    // a backward-trimmed core with inline hints — exactly the preferred
-    // stored form — so it is adopted verbatim.
-    if artifact.hinted {
-        return CachedCheck::HoldsHinted {
-            cnf: artifact.cnf,
-            proof: artifact.drup,
-        };
-    }
-    // Forward artifacts are backward-trimmed to their UNSAT core before
-    // storing: the cached pair exists only to be re-certified on load, and
-    // replaying the core is orders of magnitude cheaper than replaying
-    // everything the solver ever learnt. Unsatisfiability of the clause
-    // subset implies unsatisfiability of the full formula, so the trimmed
-    // pair attests the same verdict. The preferred form additionally
-    // carries LRAT-style propagation hints, making the load-time walk
-    // linear in the proof text; a hinting failure falls back to the plain
-    // trimmed pair, and a trim failure (it cannot happen for an artifact
-    // the live run just certified) falls back to the full pair.
-    if let Ok((cnf, proof)) =
-        fastpath_cert::trim_unsat_artifact_hinted(&artifact.cnf, &artifact.drup)
-    {
-        return CachedCheck::HoldsHinted { cnf, proof };
-    }
-    match fastpath_cert::trim_unsat_artifact(&artifact.cnf, &artifact.drup) {
-        Ok((cnf, drup)) => CachedCheck::HoldsProof { cnf, drup },
-        Err(_) => CachedCheck::HoldsProof {
-            cnf: artifact.cnf,
-            drup: artifact.drup,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,13 +933,6 @@ mod tests {
 
     #[test]
     fn check_entries_round_trip_and_detect_tampering() {
-        let proof = CachedCheck::HoldsProof {
-            cnf: "p cnf 1 1\n1 0\n".into(),
-            drup: "0\n".into(),
-        };
-        let text = encode_check(&proof);
-        assert_eq!(decode_check(&text).expect("round trip"), proof);
-
         let hinted = CachedCheck::HoldsHinted {
             cnf: "p cnf 1 2\n1 0\n-1 0\n".into(),
             proof: "0 1 2 0\n".into(),
@@ -1031,6 +967,16 @@ mod tests {
         // Truncation is rejected.
         assert!(decode_check(&text[..text.len() / 2]).is_err());
         assert!(decode_check("").is_err());
+
+        // A plain-DRUP `holds proof` body, as older stores hold, decodes
+        // as a miss even with a valid checksum, so the check is re-proved.
+        let mut plain = format!("{MAGIC_CHECK}\nholds proof\ncnf 14\np cnf 1 1\n1 0\ndrup 2\n0\n");
+        let sum = entry_sum(&plain);
+        plain.push_str(&format!("sum {}\n", sum.to_hex()));
+        assert!(matches!(
+            decode_check(&plain),
+            Err(CacheDecodeError(m)) if m == "malformed verdict line"
+        ));
     }
 
     #[test]

@@ -32,7 +32,6 @@ use crate::report::{
 };
 use crate::study::{CaseStudy, DesignInstance};
 use crate::witness::{confirm_counterexample, WitnessReplay};
-use fastpath_cert::revalidate_unsat_artifact;
 use fastpath_formal::{
     CertifiedOutcome, CheckCertificate, ElaborationStats, Ic3Engine, Ic3Outcome, Ic3Stats,
     ProductStats, ProofArtifact, RelationalInvariant, Upec2Safety, UpecCounterexample,
@@ -700,14 +699,8 @@ impl<'a> FormalStage<'a> {
         let clauses = inv.clauses.len();
         // Persist the invariant with its certified proof so warm
         // resubmissions discharge without rebuilding any frames.
-        if let (
-            Some(cache),
-            Some(key),
-            Some(
-                check @ (cache::CachedCheck::HoldsProof { .. }
-                | cache::CachedCheck::HoldsHinted { .. }),
-            ),
-        ) = (&ctx.cache, &key, entry)
+        if let (Some(cache), Some(key), Some(check @ cache::CachedCheck::HoldsHinted { .. })) =
+            (&ctx.cache, &key, entry)
         {
             let entry = cache::CachedInvariant {
                 clauses: inv.clauses,
@@ -786,7 +779,10 @@ fn cache_entry(
 ) -> Option<cache::CachedCheck> {
     match (&certified.outcome, &certified.certificate) {
         (UpecOutcome::Holds, Ok(CheckCertificate::UnsatProof { .. })) => {
-            artifact.map(cache::check_entry_from_artifact)
+            artifact.map(|a| cache::CachedCheck::HoldsHinted {
+                cnf: a.cnf,
+                proof: a.drup,
+            })
         }
         (UpecOutcome::Holds, Ok(CheckCertificate::TrivialUnsat)) => {
             Some(cache::CachedCheck::HoldsTrivial)
@@ -893,9 +889,9 @@ impl FlowContext {
     }
 
     /// Serves one UPEC check from the cache if a stored entry exists *and*
-    /// survives re-validation: an UNSAT proof must replay through the RUP
-    /// checker, a counterexample must reproduce under concrete two-instance
-    /// simulation. Anything less is a miss.
+    /// survives re-validation: an UNSAT proof's hints must walk to a
+    /// refutation, a counterexample must reproduce under concrete
+    /// two-instance simulation. Anything less is a miss.
     fn try_cached_check(
         &mut self,
         key: &Digest,
@@ -969,18 +965,13 @@ impl FlowContext {
         Some(inv.clauses.len())
     }
 
-    /// Re-certifies a stored UNSAT proof through the checker and counts
+    /// Re-certifies a stored UNSAT proof by walking its hints and counts
     /// it; `None` for an entry that carries no proof or one that fails.
     fn replay_stored_proof(&mut self, entry: &cache::CachedCheck) -> Option<()> {
-        let checker = match entry {
-            cache::CachedCheck::HoldsProof { cnf, drup } => {
-                revalidate_unsat_artifact(cnf, drup).ok()?
-            }
-            cache::CachedCheck::HoldsHinted { cnf, proof } => {
-                fastpath_cert::check_hinted_unsat_artifact(cnf, proof).ok()?
-            }
-            _ => return None,
+        let cache::CachedCheck::HoldsHinted { cnf, proof } = entry else {
+            return None;
         };
+        let checker = fastpath_cert::check_hinted_unsat_artifact(cnf, proof).ok()?;
         let summary = self.certification.as_mut()?;
         summary.stats.certified_checks += 1;
         summary.stats.unsat_proofs += 1;
@@ -1669,7 +1660,7 @@ mod tests {
         assert!(reopened.base_clauses() >= store.base_clauses());
     }
 
-    /// A cache that serves corrupted DRUP artifacts: revalidation must
+    /// A cache that serves corrupted hinted proofs: revalidation must
     /// reject them and the flow must re-prove rather than trust the entry.
     #[derive(Debug)]
     struct CorruptProofs(cache::MemoryCache);
@@ -1680,22 +1671,13 @@ mod tests {
             if kind == CacheKind::Check {
                 // Well-formed entry (checksum intact) whose proof is
                 // garbage: only semantic revalidation can catch this.
-                match cache::decode_check(&text) {
-                    Ok(cache::CachedCheck::HoldsProof { cnf, .. }) => {
-                        let bad = cache::CachedCheck::HoldsProof {
-                            cnf,
-                            drup: "garbage\n".into(),
-                        };
-                        return Some(cache::encode_check(&bad));
-                    }
-                    Ok(cache::CachedCheck::HoldsHinted { cnf, .. }) => {
-                        let bad = cache::CachedCheck::HoldsHinted {
-                            cnf,
-                            proof: "garbage\n".into(),
-                        };
-                        return Some(cache::encode_check(&bad));
-                    }
-                    _ => {}
+                if let Ok(cache::CachedCheck::HoldsHinted { cnf, .. }) = cache::decode_check(&text)
+                {
+                    let bad = cache::CachedCheck::HoldsHinted {
+                        cnf,
+                        proof: "garbage\n".into(),
+                    };
+                    return Some(cache::encode_check(&bad));
                 }
             }
             Some(text)

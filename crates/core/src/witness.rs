@@ -10,7 +10,6 @@
 
 use fastpath_formal::UpecCounterexample;
 use fastpath_rtl::{BitVec, ExprId, Module, SignalId};
-use fastpath_sim::Simulator;
 
 /// Full concrete environments for both instances at `t` and `t+1`,
 /// reconstructed from a counterexample.
@@ -41,12 +40,13 @@ impl WitnessReplay {
         }
         // Frame t+1: next state from frame t, inputs at t+1, settle.
         for env in envs.iter_mut() {
+            let mut memo: Vec<Option<BitVec>> = vec![None; module.expr_count()];
             let nexts: Vec<(SignalId, BitVec)> = module
                 .state_signals()
                 .into_iter()
                 .map(|reg| {
                     let driver = module.driver(reg).expect("reg driven");
-                    (reg, module.eval(driver, &env[0]))
+                    (reg, module.eval_memo(driver, &env[0], &mut memo))
                 })
                 .collect();
             for (reg, v) in nexts {
@@ -93,13 +93,13 @@ impl WitnessReplay {
     }
 }
 
-/// Confirms every claim of a counterexample by concrete simulation.
+/// Confirms every claim of a counterexample by concrete evaluation.
 ///
-/// Two cycle-accurate [`Simulator`]s (one per instance) are loaded with
-/// the witness state and inputs at `t`, settled, clocked, driven with the
-/// `t+1` inputs and settled again — the same machinery the IFT stage
-/// simulates with, sharing nothing with the SAT-based engine that produced
-/// the witness. The claims checked:
+/// One [`WitnessReplay`] loads both instances with the witness state and
+/// inputs at `t`, settles them, commits the registers, applies the `t+1`
+/// inputs and settles again — the netlist interpreter
+/// ([`Module::eval_memo`]), sharing nothing with the SAT-based engine
+/// that produced the witness. The claims checked:
 ///
 /// * every signal in `divergent_state` really differs at `t+1`;
 /// * every output in `divergent_outputs` really differs at `t` or `t+1`;
@@ -117,38 +117,11 @@ pub fn confirm_counterexample(
     cond_eqs: &[(ExprId, SignalId)],
     cex: &UpecCounterexample,
 ) -> Result<(), String> {
-    let mut sims = [Simulator::new(module), Simulator::new(module)];
-    // Time t: witness state + inputs, settle.
-    for w in &cex.state_values {
-        sims[0].set_register(w.signal, w.inst0.clone());
-        sims[1].set_register(w.signal, w.inst1.clone());
-    }
-    for w in &cex.input_values_t {
-        sims[0].set_input(w.signal, w.inst0.clone());
-        sims[1].set_input(w.signal, w.inst1.clone());
-    }
-    for sim in sims.iter_mut() {
-        sim.settle();
-    }
-    let outputs_differ_at_t: Vec<bool> = cex
-        .divergent_outputs
-        .iter()
-        .map(|&y| sims[0].value(y) != sims[1].value(y))
-        .collect();
-    // Clock edge, then time t+1: witness inputs, settle.
-    for sim in sims.iter_mut() {
-        sim.clock();
-    }
-    for w in &cex.input_values_t1 {
-        sims[0].set_input(w.signal, w.inst0.clone());
-        sims[1].set_input(w.signal, w.inst1.clone());
-    }
-    for sim in sims.iter_mut() {
-        sim.settle();
-    }
-
+    let replay = WitnessReplay::new(module, cex);
+    let differs =
+        |frame: usize, s: SignalId| replay.value(0, frame, s) != replay.value(1, frame, s);
     for &s in &cex.divergent_state {
-        if sims[0].value(s) == sims[1].value(s) {
+        if !differs(1, s) {
             return Err(format!(
                 "claimed divergent state `{}` agrees between the \
                  instances at t+1 in the concrete replay",
@@ -156,8 +129,8 @@ pub fn confirm_counterexample(
             ));
         }
     }
-    for (i, &y) in cex.divergent_outputs.iter().enumerate() {
-        if !outputs_differ_at_t[i] && sims[0].value(y) == sims[1].value(y) {
+    for &y in &cex.divergent_outputs {
+        if !differs(0, y) && !differs(1, y) {
             return Err(format!(
                 "claimed divergent output `{}` agrees between the \
                  instances at both t and t+1 in the concrete replay",
@@ -165,12 +138,6 @@ pub fn confirm_counterexample(
             ));
         }
     }
-    if cex.violated_cond_eqs.is_empty() {
-        return Ok(());
-    }
-    // Conditional-equality obligations need predicate evaluation on the
-    // t+1 environments; the replay reconstructs exactly those.
-    let replay = WitnessReplay::new(module, cex);
     for &i in &cex.violated_cond_eqs {
         let &(cond, signal) = cond_eqs.get(i).ok_or_else(|| {
             format!(
@@ -181,7 +148,7 @@ pub fn confirm_counterexample(
         })?;
         let both =
             replay.eval_predicate(module, 0, 1, cond) && replay.eval_predicate(module, 1, 1, cond);
-        if !both || replay.value(0, 1, signal) == replay.value(1, 1, signal) {
+        if !both || !differs(1, signal) {
             return Err(format!(
                 "claimed violation of conditional equality on `{}` does \
                  not reproduce at t+1 in the replay",

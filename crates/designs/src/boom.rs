@@ -27,11 +27,11 @@ const XLEN: u32 = 16;
 
 /// Instruction classes in bits `[15:13]`.
 pub mod class {
-    /// Integer ALU: rd[12:9], rs1[8:5], rs2[4:1].
+    /// Integer ALU: `rd[12:9]`, `rs1[8:5]`, `rs2[4:1]`.
     pub const ALU: u64 = 0;
     /// Load-immediate-from-port into an integer register (imports secrets).
     pub const LDI: u64 = 1;
-    /// Floating-point op: fd[12:10], fa[9:7], fb[6:4], funct[3:1].
+    /// Floating-point op: `fd[12:10]`, `fa[9:7]`, `fb[6:4]`, `funct[3:1]`.
     pub const FPOP: u64 = 2;
     /// Load-from-port into an FP register.
     pub const FLDI: u64 = 3;

@@ -17,9 +17,10 @@ pub enum CheckCertificate {
     /// hashing, not on the solver — recorded honestly as its own kind
     /// rather than dressed up as a proof.
     TrivialUnsat,
-    /// The solver's UNSAT answer was replayed by the forward RUP checker:
-    /// every learnt clause verified, and assuming this check's activation
-    /// literal propagates to a conflict.
+    /// The solver's UNSAT answer was replayed by the backward RUP checker:
+    /// assuming this check's activation literal propagates to a conflict,
+    /// and every learnt clause in that refutation's dependency closure
+    /// was verified against the clauses admitted before it.
     UnsatProof {
         /// Length of the trace prefix that constitutes the certificate.
         steps: usize,

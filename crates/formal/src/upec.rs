@@ -338,25 +338,23 @@ impl CertState {
 }
 
 /// An in-memory copy of the textual certificate of one successfully
-/// certified non-trivial UNSAT check: the exact DIMACS formula the
-/// verdict is about (activation assumption baked in as a unit) plus its
-/// refutation.
+/// certified non-trivial UNSAT check: the backward-trimmed UNSAT core of
+/// the formula the verdict is about (activation assumptions appended as
+/// units) plus its hinted refutation, as
+/// [`fastpath_cert::HintedTracker::emit_hinted`] emits them.
 ///
-/// The pair is the backward-trimmed UNSAT core and a hinted proof
-/// checkable by [`fastpath_cert::check_hinted_unsat_artifact`]; should
-/// hint emission fail, it is the full formula and a plain DRUP render for
-/// [`fastpath_cert::artifacts::revalidate_unsat_artifact`]. A proof cache
-/// stores the pair; on a later hit it is replayed so the cached verdict
-/// is re-certified rather than trusted.
+/// [`fastpath_cert::check_hinted_unsat_artifact`] re-certifies the pair
+/// from text alone. A proof cache stores it; on a later hit the hints are
+/// walked again, so the cached verdict is re-certified rather than
+/// trusted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProofArtifact {
-    /// DIMACS CNF text of the formula the verdict is about.
+    /// DIMACS CNF text of the refutation's core.
     pub cnf: String,
-    /// Textual refutation of that formula: hinted when `hinted`, plain
-    /// DRUP otherwise.
+    /// The hinted refutation of that core: one
+    /// `<lits> 0 <1-based clause hints> 0` line per needed learnt clause,
+    /// ending with the empty clause.
     pub drup: String,
-    /// Whether `drup` carries inline LRAT-style hints.
-    pub hinted: bool,
 }
 
 /// Cross-run learnt-clause reuse state: the persistent store plus the
@@ -688,14 +686,14 @@ impl<'m> Upec2Safety<'m> {
             .expect("artifact output requires enable_certification()");
         cert.artifact_dir = Some(dir);
         cert.artifact_prefix = prefix.into();
-        // On-disk dumps are always plain DRUP (the format drat-trim
-        // consumes), even under hinted certification, so the buffered
-        // renderer pays off here too. Backfills already-logged steps.
+        // On-disk dumps are plain DRUP (the format drat-trim consumes),
+        // so the buffered renderer pays off here. Backfills already-logged
+        // steps.
         self.encoder.enable_proof_text();
     }
 
-    /// Retains each non-trivial UNSAT check's `(CNF, DRUP)` text in
-    /// memory so a proof cache can store it; read it back with
+    /// Retains each non-trivial UNSAT check's hinted `(core CNF, proof)`
+    /// text in memory so a proof cache can store it; read it back with
     /// [`take_last_artifact`](Self::take_last_artifact) after the check.
     ///
     /// # Panics
@@ -1755,7 +1753,8 @@ impl<'m> Upec2Safety<'m> {
     /// Certifies the check that just solved: feed the checker the trace
     /// slice this check appended, then validate the verdict — a RUP
     /// refutation of the activation literal for UNSAT, a model evaluation
-    /// for SAT. Writes external-checker artifacts if requested.
+    /// for SAT. Captures the hinted artifact of a certified refutation
+    /// and writes external-checker artifacts, if requested.
     fn certify_check(
         &mut self,
         trivial: bool,
@@ -1793,61 +1792,44 @@ impl<'m> Upec2Safety<'m> {
         if verdict.is_err() {
             cert.stats.cert_failures += 1;
         }
-        cert.last_artifact = None;
-        let render = !trivial && (cert.artifact_dir.is_some() || cert.capture);
-        if render {
-            // Hinted capture first: the tracker emits the backward-trimmed
-            // core + hinted refutation straight from the cores it recorded
-            // during replay — no DRUP text is rendered or re-parsed. On
-            // any emission failure the forward render below takes over.
-            if cert.capture && verdict.is_ok() && !sat {
-                if let Ok((cnf, hints)) = cert.checker.emit_hinted(assumptions) {
-                    cert.last_artifact = Some(ProofArtifact {
-                        cnf,
-                        drup: hints,
-                        hinted: true,
-                    });
-                }
-            }
-            let need_forward = cert.artifact_dir.is_some()
-                || (cert.capture && verdict.is_ok() && !sat && cert.last_artifact.is_none());
-            if need_forward {
-                let cnf = Cnf::from_steps(&steps[..snapshot], assumptions).to_dimacs();
-                let drup = (!sat).then(|| {
+        // The tracker emits the backward-trimmed core and hinted
+        // refutation straight from the cores it recorded during replay.
+        // Should emission ever fail, the check stays certified and is
+        // simply not stored.
+        cert.last_artifact = if cert.capture && verdict.is_ok() && !trivial && !sat {
+            cert.checker
+                .emit_hinted(assumptions)
+                .ok()
+                .map(|(cnf, drup)| ProofArtifact { cnf, drup })
+        } else {
+            None
+        };
+        if let (Some(dir), false) = (&cert.artifact_dir, trivial) {
+            // Rejected certificates are dumped too — that is exactly when
+            // an external cross-audit matters most.
+            let cnf = Cnf::from_steps(&steps[..snapshot], assumptions).to_dimacs();
+            let index = cert.stats.certified_checks;
+            let base = dir.join(format!("{}check{:04}", cert.artifact_prefix, index));
+            let (path, payload) = if sat {
+                (
+                    base.with_extension("model"),
+                    artifacts::model_to_text(self.encoder.model()),
+                )
+            } else {
+                (
+                    base.with_extension("drup"),
                     proof.render_drup(snapshot, assumptions).unwrap_or_else(|| {
                         artifacts::proof_to_drup(&steps[..snapshot], assumptions)
-                    })
-                });
-                if cert.capture && verdict.is_ok() && cert.last_artifact.is_none() {
-                    if let Some(drup) = &drup {
-                        cert.last_artifact = Some(ProofArtifact {
-                            cnf: cnf.clone(),
-                            drup: drup.clone(),
-                            hinted: false,
-                        });
-                    }
-                }
-                if let Some(dir) = &cert.artifact_dir {
-                    // Rejected certificates are dumped too — that is exactly
-                    // when an external cross-audit matters most.
-                    let index = cert.stats.certified_checks;
-                    let base = dir.join(format!("{}check{:04}", cert.artifact_prefix, index));
-                    let (path, payload) = match drup {
-                        Some(drup) => (base.with_extension("drup"), drup),
-                        None => (
-                            base.with_extension("model"),
-                            artifacts::model_to_text(self.encoder.model()),
-                        ),
-                    };
-                    let wrote = std::fs::create_dir_all(dir).and_then(|()| {
-                        std::fs::write(base.with_extension("cnf"), cnf)?;
-                        std::fs::write(path, payload)
-                    });
-                    match wrote {
-                        Ok(()) => cert.stats.artifacts_written += 1,
-                        Err(_) => cert.stats.artifact_failures += 1,
-                    }
-                }
+                    }),
+                )
+            };
+            let wrote = std::fs::create_dir_all(dir).and_then(|()| {
+                std::fs::write(base.with_extension("cnf"), cnf)?;
+                std::fs::write(path, payload)
+            });
+            match wrote {
+                Ok(()) => cert.stats.artifacts_written += 1,
+                Err(_) => cert.stats.artifact_failures += 1,
             }
         }
         cert.backward_time += started.elapsed();
@@ -2266,7 +2248,6 @@ mod tests {
         upec.add_software_constraint(mode_off);
         assert!(upec.check_certified(&[]).outcome.holds());
         let artifact = upec.take_last_artifact().expect("captured");
-        assert!(artifact.hinted, "certification checks backward, with hints");
         fastpath_cert::check_hinted_unsat_artifact(&artifact.cnf, &artifact.drup)
             .expect("captured artifact certifies");
         assert!(upec.cert_time() > std::time::Duration::ZERO);
@@ -2318,7 +2299,10 @@ mod tests {
             fastpath_sat::SolveResult::Unsat,
             "dumped UNSAT instance must reproduce externally"
         );
-        assert!(dir.join("modal_check0002.drup").exists());
+        let drup2 =
+            std::fs::read_to_string(dir.join("modal_check0002.drup")).expect("drup written");
+        fastpath_cert::revalidate_unsat_artifact(&cnf2, &drup2)
+            .expect("dumped pair certifies under the forward checker");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2449,7 +2433,6 @@ mod tests {
         let artifact = upec.take_last_artifact().expect("captured");
         // The CNF bakes in the full assumption set (guard + selector
         // phases), so it must re-certify from text alone.
-        assert!(artifact.hinted);
         fastpath_cert::check_hinted_unsat_artifact(&artifact.cnf, &artifact.drup)
             .expect("captured artifact certifies");
     }

@@ -1,10 +1,15 @@
 //! Differential fuzzing driver for the FastPath pipeline.
 //!
 //! Subcommands:
+//!
+//! ```text
 //!   fuzz run [OPTIONS]        run the generate→oracle→shrink loop
 //!   fuzz repro FILE           re-run the oracle on one corpus file
+//! ```
 //!
 //! `run` options:
+//!
+//! ```text
 //!   --iters N        iteration budget (default 200; deterministic —
 //!                    two runs with the same seed print identical logs)
 //!   --time-secs S    wall-clock budget in seconds (wins over --iters)
@@ -23,6 +28,7 @@
 //!   --inject-hfg-underapprox
 //!                    plant a fake "no paths" HFG verdict (oracle
 //!                    self-test: the run MUST report violations)
+//! ```
 //!
 //! Exit status: 0 when every case is clean, 1 when any invariant was
 //! violated, 2 on usage errors.

@@ -69,8 +69,8 @@ impl IftSimulation {
     }
 
     /// Like [`run`](Self::run), but also records every cycle — values and
-    /// taint labels — into the given [`VcdRecorder`], so a violation can be
-    /// debugged in a waveform viewer.
+    /// taint labels — into the given [`VcdRecorder`](crate::VcdRecorder),
+    /// so a violation can be debugged in a waveform viewer.
     pub fn run_with_vcd(
         &self,
         module: &Module,

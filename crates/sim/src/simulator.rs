@@ -107,32 +107,6 @@ impl<'m> Simulator<'m> {
         self.values[id.index()] = value;
     }
 
-    /// Forces a register to a value, overriding its current state.
-    ///
-    /// Concrete counterexample replay starts from the arbitrary (not
-    /// necessarily reset-reachable) state the inductive witness assigns,
-    /// so the state must be writable directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a register or the width does not match.
-    pub fn set_register(&mut self, id: SignalId, value: BitVec) {
-        let signal = self.module.signal(id);
-        assert_eq!(
-            signal.kind,
-            SignalKind::Register,
-            "`{}` is not a register",
-            signal.name
-        );
-        assert_eq!(
-            signal.width,
-            value.width(),
-            "width mismatch driving `{}`",
-            signal.name
-        );
-        self.values[id.index()] = value;
-    }
-
     /// Convenience: drives an input with a `u64` (truncated to width).
     pub fn set_input_u64(&mut self, id: SignalId, value: u64) {
         let width = self.module.signal(id).width;
@@ -261,26 +235,5 @@ mod tests {
         let count = m.signal_by_name("count").expect("count");
         let mut sim = Simulator::new(&m);
         sim.set_input(count, BitVec::from_u64(8, 1));
-    }
-
-    #[test]
-    fn set_register_overrides_state() {
-        let m = counter_with_enable();
-        let en = m.signal_by_name("en").expect("en");
-        let count = m.signal_by_name("count").expect("count");
-        let mut sim = Simulator::new(&m);
-        sim.set_register(count, BitVec::from_u64(8, 42));
-        sim.set_input_u64(en, 1);
-        sim.step();
-        assert_eq!(sim.value(count).to_u64(), 43);
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a register")]
-    fn set_register_rejects_inputs() {
-        let m = counter_with_enable();
-        let en = m.signal_by_name("en").expect("en");
-        let mut sim = Simulator::new(&m);
-        sim.set_register(en, BitVec::from_u64(1, 1));
     }
 }
